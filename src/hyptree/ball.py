@@ -2,9 +2,11 @@
 
 All operations act on points of the open ball ``B^d_c = {x : sqrt(c)*||x|| < 1}``
 with curvature parameter ``c > 0``.  Two APIs are provided: a validated
-per-point API built on :class:`PoincarePoint`, and unvalidated ``*_points``
-array routines operating on ``(n, d)`` coordinate blocks, which the embedding
-optimizer uses in its inner loop.
+per-point API built on :class:`PoincarePoint`, and unvalidated array routines
+operating on ``(n, d)`` coordinate blocks, which the embedding optimizer uses
+in its inner loop.  The encoder uses one shared distance kernel,
+:func:`pairwise_geometry`, for its training loss and gradient and, through
+:func:`pairwise_distance_matrix`, for the denoised matrix.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def _check_compatible(x: PoincarePoint, y: PoincarePoint) -> None:
 def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
     """Hyperbolic distance between two points of B^d_c.
 
-    Computes ``(1/sqrt(c)) * acosh(1 + 2c||x-y||^2 / ((1-c||x||^2)(1-c||y||^2)))``.
-    The acosh argument is clamped to [1, inf) to absorb float rounding.
+    Computes ``(2/sqrt(c)) * asinh(sqrt(q))`` with
+    ``q = c||x-y||^2 / ((1-c||x||^2)(1-c||y||^2))``, which equals the
+    textbook ``(1/sqrt(c)) * acosh(1 + 2q)`` but keeps full relative accuracy
+    for near-coincident points, where ``1 + 2q`` rounds to 1.
     """
     _check_compatible(x, y)
     c = x.curvature
@@ -93,8 +97,8 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
     denom = (1.0 - c * float(x.coords @ x.coords)) * (
         1.0 - c * float(y.coords @ y.coords)
     )
-    arg = 1.0 + 2.0 * c * float(diff @ diff) / denom
-    return float(np.arccosh(max(arg, 1.0)) / np.sqrt(c))
+    q = c * float(diff @ diff) / denom
+    return float(2.0 * np.arcsinh(np.sqrt(q)) / np.sqrt(c))
 
 
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
@@ -192,21 +196,35 @@ def clip_to_ball(points: np.ndarray, c: float, margin: float = DEFAULT_MARGIN) -
     return pts
 
 
-def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
-    """All pairwise hyperbolic distances of an (n, d) point block.
+def pairwise_geometry(points: np.ndarray, c: float):
+    """``(conf, q, dist)`` of an (n, d) point block, shared by distances and gradients.
 
-    Differences are formed explicitly (no Gram-matrix shortcut) so that
-    near-coincident points keep full relative accuracy.
+    ``conf_i = 1 - c||x_i||^2``, ``q_ij = c||x_i - x_j||^2 / (conf_i conf_j)``
+    and ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
+    Differences are formed explicitly, one coordinate at a time (no
+    Gram-matrix shortcut), and distances come from the asinh form of
+    :func:`poincare_distance`, so near-coincident points keep full relative
+    accuracy.
     """
     pts = np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    n = pts.shape[0]
     conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
-    arg = 1.0 + 2.0 * c * dist_sq / np.outer(conf, conf)
-    np.maximum(arg, 1.0, out=arg)
-    out = np.arccosh(arg) / np.sqrt(c)
-    np.fill_diagonal(out, 0.0)
-    return out
+    sq = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in pts.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
+    q = np.divide(sq, np.outer(conf, conf), out=sq)
+    q *= c
+    dist = np.arcsinh(np.sqrt(q))
+    dist *= 2.0 / np.sqrt(c)
+    return conf, q, dist
+
+
+def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
+    """All pairwise hyperbolic distances of an (n, d) point block."""
+    return pairwise_geometry(points, c)[2]
 
 
 def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

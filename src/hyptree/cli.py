@@ -1,9 +1,10 @@
 """Command-line driver: synth, denoise, decode, eval, delta, pipeline, compare-objectives.
 
 Every option can also come from a plain-text config file of ``key = value``
-lines passed via ``--config``; explicit flags win over the file.  All
-randomized commands are deterministic for a fixed ``--seed``: reruns produce
-byte-identical reports, matrices, and Newick files.
+lines passed via ``--config``; explicit flags win over the file, and a key
+that no option of any command reads is an error.  All randomized commands
+are deterministic for a fixed ``--seed``: reruns produce byte-identical
+reports, matrices, and Newick files.
 """
 
 from __future__ import annotations
@@ -333,7 +334,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         del argv[idx : idx + 2]
-    parser = _build_parser(_Defaults(config))
+    defaults = _Defaults(config)
+    parser = _build_parser(defaults)
+    unknown = sorted(set(config) - defaults.used)
+    if unknown:
+        print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -45,10 +45,8 @@ class EncoderConfig:
     """Hyperparameters of one denoising run.
 
     ``scaling_factor=None`` rescales the input so its largest entry maps to
-    ``TARGET_SPREAD``.  ``pairs_per_step=0`` uses all pairs every step;
-    ``k > 0`` samples k partners per entity per step (O(nk) work).  The
-    learning rate is multiplied by ``burnin_factor`` once ``burnin_epochs``
-    have passed.
+    ``TARGET_SPREAD``.  Every step uses all pairs.  The learning rate is
+    multiplied by ``burnin_factor`` once ``burnin_epochs`` have passed.
 
     ``init_scheme`` picks the starting configuration: ``tree`` draws the
     Neighbor Joining tree of the target exactly in the ball, ``mds`` lifts a
@@ -83,7 +81,6 @@ class EncoderConfig:
     scaling_factor: float | None = None
     init_radius: float = 1e-6
     seed: int = 0
-    pairs_per_step: int = 0
     boundary_margin: float = ball.DEFAULT_MARGIN
     init_scheme: str = "mds"
 
@@ -103,8 +100,6 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be positive")
         if self.scaling_factor is not None and self.scaling_factor <= 0.0:
             raise ValueError("scaling_factor must be positive")
-        if self.pairs_per_step < 0:
-            raise ValueError("pairs_per_step must be >= 0")
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}")
 
@@ -147,47 +142,32 @@ def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -
     if len(emb.labels) != dm.n:
         raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
     dist = ball.pairwise_distance_matrix(emb.points, emb.curvature)
-    iu = np.triu_indices(dm.n, 1)
-    diff = np.abs(dist[iu] - dm.values[iu])
-    if diff.size == 0:
-        return 0.0
-    return float(np.sum(diff**p) ** (1.0 / p))
+    return _power_sum(dist - dm.values, p) ** (1.0 / p)
 
 
-def _ambient_power_gradient(points: np.ndarray, target: np.ndarray, c: float, p: float,
-                            pair_weights: np.ndarray | None = None):
-    """Gradient of sum_{i<j} w_ij |d(x_i,x_j) - t_ij|^p in ambient coordinates.
+def _power_sum(resid: np.ndarray, p: float) -> float:
+    """sum_{i<j} |resid_ij|^p of a symmetric residual matrix with zero diagonal."""
+    return 0.5 * float(np.sum(np.abs(resid) ** p))
 
-    Returns (grad, power_sum, dist).  ``pair_weights`` multiplies each pair's
-    term (used for subsampled steps); None means all-ones.
+
+def _power_gradient(points: np.ndarray, conf: np.ndarray, q: np.ndarray,
+                    resid: np.ndarray, c: float, p: float) -> np.ndarray:
+    """Ambient gradient of sum_{i<j} |resid_ij|^p, resid = d(x_i, x_j) - t_ij.
+
+    ``conf`` and ``q`` come from :func:`ball.pairwise_geometry` of ``points``;
+    the distance is (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative
+    in x_i is T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
+    T_ij = 2 sqrt(c) r'_ij / (conf_i conf_j sqrt(q_ij (1 + q_ij))) and
+    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) (zero for coincident pairs).
+    The sum over j of T_ij (x_i - x_j) is taken as rowsum(T) x_i - (T @ X)_i.
     """
-    n = points.shape[0]
-    dist = ball.pairwise_distance_matrix(points, c)
-    resid = dist - target
-    np.fill_diagonal(resid, 0.0)
     coef = p * np.abs(resid) ** (p - 1.0) * np.sign(resid)
-    if pair_weights is not None:
-        coef = coef * pair_weights
-    # d/dx_i of the distance: (1/sqrt(c)) * du/dx_i / sqrt(u^2 - 1).
-    diff = points[:, None, :] - points[None, :, :]
-    nsq = np.einsum("ijk,ijk->ij", diff, diff)
-    conf = 1.0 - c * np.einsum("ij,ij->i", points, points)
-    cc = np.outer(conf, conf)
-    u = 1.0 + 2.0 * c * nsq / cc
-    s = np.sqrt(np.maximum(u * u - 1.0, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s = np.where(s > 0.0, 1.0 / s, 0.0)
-    scale = coef * inv_s / np.sqrt(c)
-    term_diff = (4.0 * c / cc) * scale
-    term_self = (4.0 * c * c * nsq / (conf[:, None] ** 2 * conf[None, :])) * scale
-    grad = np.einsum("ij,ijk->ik", term_diff, diff) + term_self.sum(axis=1)[:, None] * points
-    if pair_weights is None:
-        iu = np.triu_indices(n, 1)
-        power_sum = float(np.sum(np.abs(resid[iu]) ** p))
-    else:
-        iu = np.triu_indices(n, 1)
-        power_sum = float(np.sum(pair_weights[iu] * np.abs(resid[iu]) ** p))
-    return grad, power_sum, dist
+    root = np.sqrt(q * (1.0 + q))
+    t = np.divide(coef, root, out=np.zeros_like(coef), where=root > 0.0)
+    t *= 2.0 * np.sqrt(c)
+    t /= np.outer(conf, conf)
+    row = t.sum(axis=1) + (t * q) @ conf
+    return row[:, None] * points - t @ points
 
 
 def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> list[TangentVector]:
@@ -200,12 +180,15 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
     if len(emb.labels) != dm.n:
         raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
     c = emb.curvature
-    grad_pow, power_sum, _ = _ambient_power_gradient(emb.points, dm.values, c, p)
+    conf, q, dist = ball.pairwise_geometry(emb.points, c)
+    resid = dist - dm.values
+    power_sum = _power_sum(resid, p)
     if power_sum == 0.0:
         ambient = np.zeros_like(emb.points)
     else:
         # chain rule through the outer 1/p root
-        ambient = grad_pow * (power_sum ** (1.0 / p - 1.0) / p)
+        ambient = _power_gradient(emb.points, conf, q, resid, c, p) * (
+            power_sum ** (1.0 / p - 1.0) / p)
     riem = ball.conformal_to_riemannian(emb.points, c, ambient)
     return [
         TangentVector(PoincarePoint(x, c), g) for x, g in zip(emb.points, riem)
@@ -283,14 +266,14 @@ def _tree_init(values: np.ndarray, d: int, c: float,
             base = 0.0
             sector = 2.0 * np.pi / len(kids)
         else:
-            rel_parent = _mobius_add_raw_2d(-here, pos[parent], c)
+            rel_parent = ball._mobius_add_raw(-here, pos[parent], c)
             base = np.arctan2(rel_parent[1], rel_parent[0])
             sector = 2.0 * np.pi / (len(kids) + 1)
         for k, (child, w) in enumerate(kids):
             theta = base + (k + 1) * sector
             radius = np.tanh(sqrt_c * w / 2.0) / sqrt_c
             local = radius * np.array([np.cos(theta), np.sin(theta)])
-            pos[child] = _mobius_add_raw_2d(here, local, c)
+            pos[child] = ball._mobius_add_raw(here, local, c)
             stack.append((child, v))
 
     leaf_for_label = {lbl: vid for vid, lbl in guide.leaf_labels.items()}
@@ -300,14 +283,6 @@ def _tree_init(values: np.ndarray, d: int, c: float,
     if d > 2:
         pts[:, 2:] = 1e-4 * rng.standard_normal((n, d - 2)) / np.sqrt(c)
     return pts
-
-
-def _mobius_add_raw_2d(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    xy = float(x @ y)
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    return num / (1.0 + 2.0 * c * xy + c * c * x2 * y2)
 
 
 def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
@@ -347,19 +322,6 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
     return ball.clip_to_ball(pts, cfg.curvature, cfg.boundary_margin)
 
 
-def _sample_pair_weights(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Symmetric pair multiplicities: k distinct partners drawn per entity."""
-    w = np.zeros((n, n))
-    k = min(k, n - 1)
-    for i in range(n):
-        picks = rng.choice(n - 1, size=k, replace=False)
-        for pk in picks:
-            j = pk if pk < i else pk + 1
-            w[i, j] += 1.0
-            w[j, i] += 1.0
-    return w
-
-
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     """Optimize ball points against a dissimilarity matrix.
 
@@ -368,7 +330,9 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     distances divided by the scaling factor versus the raw input.  Each epoch
     performs one Riemannian Adam step (moments kept in ambient tangent
     coordinates, no transport) followed by a projection step that keeps every
-    point inside the boundary margin.  Fully deterministic for a given seed.
+    point inside the boundary margin.  The pairwise geometry is computed once
+    per epoch, after the step: it gives that epoch's loss and the next
+    epoch's gradient.  Fully deterministic for a given seed.
 
     With ``init_scheme="auto"`` the optimization runs once from the tree
     start and once from the mds start, and the result with the smaller final
@@ -401,7 +365,8 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     m = np.zeros_like(points)
     v = np.zeros(n)
     trace = np.empty(cfg.total_epochs)
-    iu = np.triu_indices(n, 1)
+    conf, q, dist = ball.pairwise_geometry(points, c)
+    resid = dist - target
     cooldown_start = cfg.total_epochs - max(int(_COOLDOWN_FRACTION * cfg.total_epochs), 1)
     precond = None
 
@@ -409,18 +374,13 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         lr = cfg.learning_rate * (cfg.burnin_factor if epoch >= cfg.burnin_epochs else 1.0)
         if epoch >= cooldown_start:
             lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
-        weights = None
-        if cfg.pairs_per_step > 0 and epoch < cooldown_start:
-            # Sampled steps only before the cooldown; the settling phase
-            # always sees the full objective.
-            weights = _sample_pair_weights(rng, n, cfg.pairs_per_step)
-        grad, _, _ = _ambient_power_gradient(points, target, c, cfg.p, weights)
+        grad = _power_gradient(points, conf, q, resid, c, cfg.p)
         grad = ball.conformal_to_riemannian(points, c, grad)
 
         # Second moment tracks the squared Riemannian norm per point, so the
         # normalized step has roughly unit hyperbolic speed everywhere and
         # boundary-hugging points are not over-driven.
-        lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", points, points))
+        lam = 2.0 / conf
         gnorm_sq = lam**2 * np.einsum("ij,ij->i", grad, grad)
 
         t = epoch + 1
@@ -436,12 +396,11 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         points = ball.exp_map_points(points, step, c)
         points = ball.clip_to_ball(points, c, cfg.boundary_margin)
 
-        dist = ball.pairwise_distance_matrix(points, c)
-        resid = np.abs(dist[iu] - target[iu])
-        power_sum = float(np.sum(resid**cfg.p))
-        loss = power_sum ** (1.0 / cfg.p) / s if resid.size else 0.0
+        conf, q, dist = ball.pairwise_geometry(points, c)
+        resid = dist - target
+        loss = _power_sum(resid, cfg.p) ** (1.0 / cfg.p) / s
         if not np.isfinite(loss):
-            bad = np.argwhere(~np.isfinite(dist + target))
+            bad = np.argwhere(~np.isfinite(resid))
             i, j = (int(bad[0][0]), int(bad[0][1])) if bad.size else (0, 0)
             raise EncodingError(
                 f"non-finite loss at epoch {epoch} "
@@ -451,8 +410,7 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         trace[epoch] = loss
 
     emb = PoincareEmbedding(list(dm.labels), points, c)
-    final = float(trace[-1]) if cfg.total_epochs else embedding_loss(emb, dm, cfg.p)
-    return EmbeddingResult(emb, final, trace, replace(cfg), s)
+    return EmbeddingResult(emb, float(trace[-1]), trace, replace(cfg), s)
 
 
 def denoised_metric(result: EmbeddingResult) -> DistanceMatrix:

@@ -91,11 +91,18 @@ def gromov_product(dm: DistanceMatrix, i: int, j: int, r: int) -> float:
 
 
 def _quad_stat(s1, s2, s3):
-    """Half the gap between the largest and middle of the three pair sums."""
-    hi = np.maximum(np.maximum(s1, s2), s3)
-    lo = np.minimum(np.minimum(s1, s2), s3)
-    mid = s1 + s2 + s3 - hi - lo
-    return (hi - mid) / 2.0
+    """Half the gap between the largest and middle of the three pair sums.
+
+    Both are picked by comparison, so the order of the sums does not matter.
+    """
+    lo12 = np.minimum(s1, s2)
+    m12 = np.maximum(s1, s2)
+    hi = np.maximum(m12, s3)
+    mid = np.maximum(lo12, np.minimum(m12, s3, out=m12), out=lo12)
+    hi -= mid
+    hi /= 2.0
+    return hi
+
 
 def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     """Smallest delta for which the four-point condition holds, by full scan.

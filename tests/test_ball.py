@@ -99,6 +99,35 @@ class TestDistance:
                 expected = poincare_distance(pts[i], pts[j]) if i != j else 0.0
                 assert mat[i, j] == pytest.approx(expected, abs=1e-13)
 
+    def test_pairwise_matrix_near_coincident_points(self):
+        # Pairs about 1e-9/sqrt(c) apart at radius about 0.5/sqrt(c).  The
+        # block kernel must match the per-pair distance to full relative
+        # accuracy; a Gram-matrix shortcut (||x||^2 + ||y||^2 - 2 x.y) or the
+        # acosh(1 + 2q) form loses every digit here.
+        rng = np.random.default_rng(17)
+        for c in (1.0, 100.0):
+            for d in (2, 4):
+                rows = []
+                for _ in range(4):
+                    x = rng.standard_normal(d)
+                    x *= 0.5 / (np.sqrt(c) * np.linalg.norm(x))
+                    step = rng.standard_normal(d)
+                    rows += [x, x + 1e-9 / np.sqrt(c) * step / np.linalg.norm(step)]
+                block = np.array(rows)
+                mat = pairwise_distance_matrix(block, c)
+                pts = [PoincarePoint(r, c) for r in block]
+                for i in range(len(pts)):
+                    for j in range(len(pts)):
+                        if i == j:
+                            assert mat[i, j] == 0.0
+                            continue
+                        expected = poincare_distance(pts[i], pts[j])
+                        assert expected > 0.0
+                        assert mat[i, j] == pytest.approx(expected, rel=1e-10, abs=0.0)
+                # the near pairs: about 2e-9 / (1 - 0.25) / sqrt(c)
+                near = mat[np.arange(0, 8, 2), np.arange(1, 8, 2)] * np.sqrt(c)
+                assert np.allclose(near, 2e-9 / 0.75, rtol=1e-6)
+
 
 class TestMobius:
     def test_additive_identity(self):

@@ -135,6 +135,17 @@ class TestDeltaSampled:
             dm = dyadic_matrix(rng, 8)
             assert delta_sampled(dm, 300, seed=seed).delta <= delta_exact(dm).delta
 
+    def test_exact_bounds_sampled_without_tolerance(self):
+        # The exact scan and the sampler list each quadruple's three pair sums
+        # in different orders, so the slack must not depend on that order.
+        # Tree 905266064 once gave a sampled delta one ulp above the exact one.
+        from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
+
+        for seed in [905266064, *range(20)]:
+            graph = add_noise_edges(random_binary_tree(12, seed), 0.3, seed + 1)
+            dm = graph_leaf_shortest_paths(graph)
+            assert delta_sampled(dm, 10**4, seed=0).delta <= delta_exact(dm).delta
+
     def test_exhaustive_coincidence_small(self):
         # n = 5 has only five quadruples; 5000 samples cover them all
         rng = np.random.default_rng(15)
