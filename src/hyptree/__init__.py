@@ -25,7 +25,6 @@ from .data import (
     NoisyGraph,
     add_noise_edges,
     cosine_dissimilarity,
-    dasgupta_measurements,
     graph_leaf_shortest_paths,
     load_features,
     load_matrix,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from .metrics import DistanceMatrix
-from .trees import TreeStructureError, WeightedTree, lca_clan_sizes
+from .trees import TreeStructureError, WeightedTree
 
 
 class MatrixFormatError(ValueError):
@@ -133,11 +133,6 @@ def graph_leaf_shortest_paths(graph: NoisyGraph) -> DistanceMatrix:
     if not np.all(np.isfinite(dist)):
         raise TreeStructureError("graph is disconnected between leaves")
     return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
-
-
-def dasgupta_measurements(tree: WeightedTree) -> DistanceMatrix:
-    """Dissimilarities given by the leaf count under each pair's lca."""
-    return lca_clan_sizes(tree)
 
 
 def cosine_dissimilarity(table: FeatureTable) -> DistanceMatrix:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster import hierarchy
+from scipy.spatial.distance import squareform
 
 from .metrics import DistanceMatrix
 from .trees import WeightedTree
@@ -24,7 +26,9 @@ class Dendrogram:
     """Ordered merge sequence (cluster_a, cluster_b, height, merged size).
 
     Cluster ids 0..n-1 are leaves in label order; merge k creates id n+k.
-    Heights are non-decreasing along the merge order.
+    Heights are non-decreasing along the merge order, and each size is the
+    sum of the two merged sizes (scipy's cophenetic routine reads the sizes
+    to index its buffers).
     """
 
     n: int
@@ -34,14 +38,18 @@ class Dendrogram:
     def __post_init__(self):
         if len(self.merges) != max(self.n - 1, 0):
             raise ValueError(f"{len(self.merges)} merges for {self.n} leaves")
+        sizes = [1] * self.n
         prev = 0.0
         for k, (a, b, h, size) in enumerate(self.merges):
             limit = self.n + k
             if not (0 <= a < limit and 0 <= b < limit and a != b):
                 raise ValueError(f"merge {k} references invalid clusters ({a}, {b})")
+            if size != sizes[a] + sizes[b]:
+                raise ValueError(f"merge {k} has size {size}, expected {sizes[a] + sizes[b]}")
             if h < prev:
                 raise ValueError(f"merge {k} decreases height: {h} < {prev}")
             prev = h
+            sizes.append(size)
 
 
 def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
@@ -131,44 +139,25 @@ def linkage(dm: DistanceMatrix, method: str) -> Dendrogram:
     * average:  d(uv, k) = (|u| d(u, k) + |v| d(v, k)) / (|u| + |v|)
     * weighted: d(uv, k) = (d(u, k) + d(v, k)) / 2
 
-    Ties pick the lexicographically smallest index pair of the working matrix.
+    Runs ``scipy.cluster.hierarchy.linkage``: the minimum-spanning-tree
+    algorithm for single and the nearest-neighbor chain for the other rules
+    (Muellner 2011), O(n^2) time.  Each merge joins a closest pair of active
+    clusters.  When several pairs tie, which of them merges is scipy's
+    choice; the single-linkage cophenetic matrix is unique regardless, the
+    other rules' merge trees may differ between tied choices.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}; pick one of {LINKAGE_METHODS}")
     n = dm.n
     if n < 1:
         raise ValueError("linkage needs at least one entity")
-    work = dm.values.astype(np.float64).copy()
-    ids = list(range(n))
-    sizes = {i: 1 for i in range(n)}
-    merges: list[tuple[int, int, float, int]] = []
-    while len(ids) > 1:
-        m = len(ids)
-        masked = work.copy()
-        masked[np.tril_indices(m)] = np.inf
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        h = work[i, j]
-        a, b = ids[i], ids[j]
-        new_id = n + len(merges)
-        si, sj = sizes[a], sizes[b]
-        if method == "single":
-            row = np.minimum(work[i, :], work[j, :])
-        elif method == "complete":
-            row = np.maximum(work[i, :], work[j, :])
-        elif method == "average":
-            row = (si * work[i, :] + sj * work[j, :]) / (si + sj)
-        else:
-            row = 0.5 * (work[i, :] + work[j, :])
-        row[i] = 0.0
-        work[i, :] = row
-        work[:, i] = row
-        ids[i] = new_id
-        sizes[new_id] = si + sj
-        keep = [k for k in range(m) if k != j]
-        work = work[np.ix_(keep, keep)]
-        del ids[j]
-        merges.append((min(a, b), max(a, b), float(h), si + sj))
-    return Dendrogram(n, tuple(merges), list(dm.labels))
+    if n == 1:
+        return Dendrogram(1, (), list(dm.labels))
+    z = hierarchy.linkage(squareform(dm.values, checks=False), method)
+    merges = tuple(
+        (int(min(a, b)), int(max(a, b)), float(h), int(size)) for a, b, h, size in z
+    )
+    return Dendrogram(n, merges, list(dm.labels))
 
 
 def write_dendrogram(dend: Dendrogram, path) -> None:
@@ -180,16 +169,10 @@ def write_dendrogram(dend: Dendrogram, path) -> None:
 
 def dendrogram_to_ultrametric(dend: Dendrogram) -> DistanceMatrix:
     """Cophenetic matrix: entry (i, j) is the height of the merge uniting them."""
-    n = dend.n
-    vals = np.zeros((n, n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for k, (a, b, h, _) in enumerate(dend.merges):
-        for x in members[a]:
-            for y in members[b]:
-                vals[x, y] = h
-                vals[y, x] = h
-        members[n + k] = members[a] + members[b]
-    return DistanceMatrix(list(dend.labels), vals)
+    if dend.n == 1:
+        return DistanceMatrix(list(dend.labels), np.zeros((1, 1)))
+    coph = hierarchy.cophenet(np.array(dend.merges, dtype=np.float64))
+    return DistanceMatrix(list(dend.labels), squareform(coph))
 
 
 def dendrogram_to_tree(dend: Dendrogram) -> WeightedTree:

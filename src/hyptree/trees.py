@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .metrics import DistanceMatrix
 
@@ -109,17 +111,24 @@ class DesignMatrix:
     matrix: np.ndarray
 
 
-def _single_source_distances(tree: WeightedTree, source: int, unit: bool = False) -> dict[int, float]:
-    adj = tree.adjacency()
-    dist = {source: 0.0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, w in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + (1.0 if unit else w)
-                queue.append(v)
-    return dist
+def _leaf_path_lengths(tree: WeightedTree, unit: bool = False):
+    """Labeled leaves in label order and their leaf-to-leaf path lengths.
+
+    One ``scipy.sparse.csgraph.dijkstra`` call from every leaf over a CSR
+    graph built from the edge list.  Entry (i, j) sums the path starting at
+    leaf i, so it may differ from (j, i) in the last bit.  Zero weights are
+    stored as explicit entries, which csgraph treats as edges, not as gaps.
+    With ``unit=True`` every edge counts 1 regardless of its weight.
+    """
+    leaves = tree.sorted_leaves()
+    pos = {v: k for k, v in enumerate(tree.vertices)}
+    rows = [pos[u] for u, _, _ in tree.edges]
+    cols = [pos[v] for _, v, _ in tree.edges]
+    weights = [1.0 if unit else w for _, _, w in tree.edges]
+    m = len(tree.vertices)
+    graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(m, m), dtype=np.float64)
+    idx = [pos[v] for _, v in leaves]
+    return leaves, dijkstra(graph, directed=False, indices=idx)[:, idx]
 
 
 def leaf_distance_matrix(tree: WeightedTree, unit: bool = False) -> DistanceMatrix:
@@ -127,16 +136,8 @@ def leaf_distance_matrix(tree: WeightedTree, unit: bool = False) -> DistanceMatr
 
     With ``unit=True`` every edge counts 1 regardless of its weight.
     """
-    leaves = tree.sorted_leaves()
-    labels = [lbl for lbl, _ in leaves]
-    n = len(leaves)
-    vals = np.zeros((n, n))
-    for i, (_, v) in enumerate(leaves):
-        dist = _single_source_distances(tree, v, unit=unit)
-        for j, (_, u) in enumerate(leaves):
-            vals[i, j] = dist[u]
-    np.fill_diagonal(vals, 0.0)
-    return DistanceMatrix(labels, (vals + vals.T) / 2.0)
+    leaves, dist = _leaf_path_lengths(tree, unit=unit)
+    return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
 
 
 def _orient(tree: WeightedTree, root: int):
@@ -333,17 +334,14 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
         raise ValueError("tree is already rooted; trim_root it first")
     if tree.n_leaves < 2:
         raise ValueError("midpoint rooting needs at least two labeled leaves")
-    leaves = tree.sorted_leaves()
-    best = None  # (distance, label_a, label_b, va, vb)
-    for i, (la, va) in enumerate(leaves):
-        dist = _single_source_distances(tree, va)
-        for lb, vb in leaves[i + 1 :]:
-            d = dist[vb]
-            # Leaves are scanned in label order, so the first maximum seen is
-            # already the lexicographically smallest diameter pair.
-            if best is None or d > best[0]:
-                best = (d, la, lb, va, vb)
-    total, _, _, va, vb = best
+    leaves, dist = _leaf_path_lengths(tree)
+    # Row-major upper-triangle order visits pairs in label order, so argmax,
+    # which returns the first maximum, picks the lexicographically smallest
+    # diameter pair.
+    iu, ju = np.triu_indices(len(leaves), 1)
+    k = int(np.argmax(dist[iu, ju]))
+    total = float(dist[iu[k], ju[k]])
+    va, vb = leaves[iu[k]][1], leaves[ju[k]][1]
 
     # Path from va to vb as alternating vertices/edges.
     anchor = va

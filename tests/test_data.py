@@ -8,7 +8,6 @@ from hyptree.data import (
     MatrixFormatError,
     add_noise_edges,
     cosine_dissimilarity,
-    dasgupta_measurements,
     graph_leaf_shortest_paths,
     load_features,
     load_matrix,
@@ -18,7 +17,13 @@ from hyptree.data import (
     save_matrix,
 )
 from hyptree.metrics import DistanceMatrix
-from hyptree.trees import TreeStructureError, WeightedTree, leaf_distance_matrix, midpoint_root
+from hyptree.trees import (
+    TreeStructureError,
+    WeightedTree,
+    lca_clan_sizes,
+    leaf_distance_matrix,
+    midpoint_root,
+)
 
 
 class TestRandomBinaryTree:
@@ -151,18 +156,18 @@ class TestDasguptaMeasurements:
             {0: "a", 1: "b", 2: "c"},
             root=4,
         )
-        dm = dasgupta_measurements(t)
+        dm = lca_clan_sizes(t)
         assert dm.values[0, 1] == 2.0
         assert dm.values[0, 2] == 3.0
 
     def test_root_pairs_get_n(self):
         t = midpoint_root(random_binary_tree(10, 4))
-        dm = dasgupta_measurements(t)
+        dm = lca_clan_sizes(t)
         assert dm.pair_vector().max() == 10.0
 
     def test_unrooted_rejected(self):
         with pytest.raises(ValueError):
-            dasgupta_measurements(random_binary_tree(5, 0))
+            lca_clan_sizes(random_binary_tree(5, 0))
 
 
 class TestCosine:

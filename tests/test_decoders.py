@@ -1,10 +1,13 @@
 """Neighbor Joining and linkage decoder checks, including naive oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hyptree.data import random_binary_tree
 from hyptree.decoders import (
+    LINKAGE_METHODS,
     Dendrogram,
     dendrogram_to_tree,
     dendrogram_to_ultrametric,
@@ -73,6 +76,53 @@ def naive_linkage(values, method):
         active[i] = new
         del active[j]
     return merges
+
+
+def _members(shape):
+    return [shape] if isinstance(shape, int) else _members(shape[0]) + _members(shape[1])
+
+
+def naive_cluster_distance(values, method, shape_a, shape_b):
+    """Inter-cluster distance from its definition on the merge trees.
+
+    Flat rules reduce over all member pairs; weighted averages the distances
+    of the two halves of a merged cluster, recursively.
+    """
+    if method == "weighted":
+        if isinstance(shape_a, int) and isinstance(shape_b, int):
+            return values[shape_a, shape_b]
+        if isinstance(shape_a, int):
+            shape_a, shape_b = shape_b, shape_a
+        return 0.5 * (
+            naive_cluster_distance(values, method, shape_a[0], shape_b)
+            + naive_cluster_distance(values, method, shape_a[1], shape_b)
+        )
+    pair = [values[x, y] for x in _members(shape_a) for y in _members(shape_b)]
+    if method == "single":
+        return min(pair)
+    if method == "complete":
+        return max(pair)
+    return sum(pair) / len(pair)
+
+
+def naive_cophenetic(n, merges):
+    vals = np.zeros((n, n))
+    members = {i: [i] for i in range(n)}
+    for k, (a, b, h, _) in enumerate(merges):
+        for x in members[a]:
+            for y in members[b]:
+                vals[x, y] = vals[y, x] = h
+        members[n + k] = members.pop(a) + members.pop(b)
+    return vals
+
+
+def tied_matrices(count, seed):
+    """Integer entries 1-3 on 3 to 24 entities, so most merges face ties."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 25))
+        vals = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        yield DistanceMatrix([str(i) for i in range(n)], vals + vals.T)
 
 
 class TestNeighborJoining:
@@ -210,10 +260,38 @@ class TestLinkage:
             )
 
 
+class TestLinkageTies:
+    """On tied input which tied pair merges is scipy's choice; these hold for any choice."""
+
+    def test_each_merge_joins_a_closest_pair(self):
+        for dm in tied_matrices(150, 37):
+            for method in LINKAGE_METHODS:
+                shapes = {i: i for i in range(dm.n)}
+                for k, (a, b, h, _) in enumerate(linkage(dm, method).merges):
+                    closest = min(
+                        naive_cluster_distance(dm.values, method, shapes[x], shapes[y])
+                        for x, y in itertools.combinations(shapes, 2)
+                    )
+                    d = naive_cluster_distance(dm.values, method, shapes[a], shapes[b])
+                    assert d <= closest + 1e-12, (method, k)
+                    assert abs(h - d) <= 1e-12, (method, k)
+                    shapes[dm.n + k] = (shapes.pop(a), shapes.pop(b))
+
+    def test_single_cophenetic_matches_oracle(self):
+        for dm in tied_matrices(150, 38):
+            expected = naive_cophenetic(dm.n, naive_linkage(dm.values, "single"))
+            got = dendrogram_to_ultrametric(linkage(dm, "single")).values
+            assert np.array_equal(got, expected)
+
+
 class TestDendrogram:
     def test_requires_monotone_heights(self):
         with pytest.raises(ValueError, match="height"):
             Dendrogram(3, ((0, 1, 2.0, 2), (2, 3, 1.0, 3)), ["a", "b", "c"])
+
+    def test_requires_consistent_sizes(self):
+        with pytest.raises(ValueError, match="size"):
+            Dendrogram(3, ((0, 1, 1.0, 2), (2, 3, 2.0, 4)), ["a", "b", "c"])
 
     def test_cophenetic_hand_values(self):
         u = dendrogram_to_ultrametric(linkage(TRIPLE, "single"))

@@ -21,6 +21,16 @@ from hyptree.trees import (
 )
 
 
+def zero_edge_tree():
+    """Leaves a..d on vertices 0..3, internal 7 and 9; three of the five edges
+    weigh zero, as Neighbor Joining's clamps leave them."""
+    return WeightedTree(
+        vertices=(0, 1, 2, 3, 7, 9),
+        edges=((0, 7, 0.0), (1, 7, 1.0), (7, 9, 0.0), (9, 2, 2.0), (9, 3, 0.0)),
+        leaf_labels={0: "a", 1: "b", 2: "c", 3: "d"},
+    )
+
+
 def quartet_tree():
     """((a:1, b:1):1, (c:1, d:1)) as an unrooted tree with middle edge 1."""
     return WeightedTree(
@@ -76,6 +86,14 @@ class TestLeafDistanceMatrix:
             [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]], dtype=float
         )
         assert np.allclose(dm.values, expect)
+
+    def test_zero_weight_edges_hand_values(self):
+        dm = leaf_distance_matrix(zero_edge_tree())
+        assert dm.labels == ["a", "b", "c", "d"]
+        expect = np.array(
+            [[0, 1, 2, 0], [1, 0, 3, 1], [2, 3, 0, 2], [0, 1, 2, 0]], dtype=float
+        )
+        assert np.array_equal(dm.values, expect)
 
     def test_four_point_condition(self):
         rng = np.random.default_rng(20)
@@ -306,6 +324,18 @@ class TestRooting:
         assert np.allclose(
             leaf_distance_matrix(rooted).values, leaf_distance_matrix(t).values,
             atol=1e-12,
+        )
+
+    def test_midpoint_through_zero_weight_edges(self):
+        # diameter b - c = 1 + 0 + 2; its midpoint lies 0.5 past vertex 9 on
+        # the edge (9, c), which is split by the new vertex 10
+        t = zero_edge_tree()
+        rooted = midpoint_root(t)
+        assert rooted.root == 10
+        assert (9, 10, 0.5) in rooted.edges and (10, 2, 1.5) in rooted.edges
+        assert (9, 2, 2.0) not in rooted.edges
+        assert np.array_equal(
+            leaf_distance_matrix(rooted).values, leaf_distance_matrix(t).values
         )
 
     def test_midpoint_symmetric_quartet(self):
