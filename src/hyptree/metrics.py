@@ -90,81 +90,97 @@ def gromov_product(dm: DistanceMatrix, i: int, j: int, r: int) -> float:
     return 0.5 * (d[r, i] + d[r, j] - d[i, j])
 
 
-def _quad_stat(s1, s2, s3):
-    """Half the gap between the largest and middle of the three pair sums.
+def _quad_gap(s1, s2, s3, t):
+    """Largest minus middle of the three pair sums, elementwise, in place.
 
-    Both are picked by comparison, so the order of the sums does not matter.
+    Overwrites all four buffers (``t`` is scratch) and returns ``s1``.  Both
+    terms are picked by comparison, so the order of the sums does not matter.
     """
-    lo12 = np.minimum(s1, s2)
-    m12 = np.maximum(s1, s2)
-    hi = np.maximum(m12, s3)
-    mid = np.maximum(lo12, np.minimum(m12, s3, out=m12), out=lo12)
-    hi -= mid
-    hi /= 2.0
-    return hi
+    np.minimum(s1, s2, out=t)
+    np.maximum(s1, s2, out=s1)
+    np.minimum(s1, s3, out=s2)
+    np.maximum(s1, s3, out=s1)
+    np.maximum(t, s2, out=t)
+    return np.subtract(s1, t, out=s1)
+
+
+#: Elements per block of the exact scan, which keeps its buffers cache-sized;
+#: blocks also hold at most n² elements, so small inputs get small buffers.
+_BLOCK = 2**15
+_SAMPLE_BATCH = 2**20
 
 
 def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     """Smallest delta for which the four-point condition holds, by full scan.
 
-    For each unordered quadruple the three pairwise sums S1 >= S2 >= S3 give
+    For each unordered quadruple the three pair sums S1 >= S2 >= S3 give
     the local slack (S1 - S2)/2; delta is the maximum over all C(n, 4)
-    quadruples.  Quadruples are processed in vectorized (k, l) blocks per
-    leading pair (i, j).  Matrices with n < 4 have delta 0 by convention.
+    quadruples.  The pairs k < l are listed once in row-major order, so for
+    each j the pairs with j < k form a suffix of that list; the rows i < j
+    are taken against that suffix in blocks of about min(``_BLOCK``, n²)
+    elements, written into four buffers allocated once.  Every quadruple
+    i < j < k < l is thus evaluated exactly once, each pair sum as one
+    addition, and the gap is halved once after the maximum.  Matrices with
+    n < 4 have delta 0 by convention.
     """
     n = dm.n
     if n < 4:
         return HyperbolicityReport(0.0, "exact", 0)
     d = dm.values
+    K, L = np.triu_indices(n, 1)
+    d_kl = d[K, L]
+    start = np.searchsorted(K, np.arange(n + 1))
+    block = min(_BLOCK, d.size)
+    bufs = np.empty((4, max(block, K.size - start[2])))
     best = 0.0
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            tail = d[j + 1 :, j + 1 :]
-            s1 = d[i, j] + tail
-            s2 = d[i, j + 1 :, None] + d[j, None, j + 1 :]
-            s3 = d[j, j + 1 :, None] + d[i, None, j + 1 :]
-            q = _quad_stat(s1, s2, s3)
-            m = q.shape[0]
-            block = q[np.triu_indices(m, 1)]
-            if block.size:
-                best = max(best, float(block.max()))
-    count = n * (n - 1) * (n - 2) * (n - 3) // 24
-    return HyperbolicityReport(best, "exact", count)
+    for j in range(1, n - 2):
+        k, l, kl = K[start[j + 1] :], L[start[j + 1] :], d_kl[start[j + 1] :]
+        d_jk, d_jl = d[j, k], d[j, l]
+        step = max(1, block // kl.size)
+        for i0 in range(0, j, step):
+            rows = d[i0 : min(i0 + step, j)]
+            s1, s2, s3, t = (b[: len(rows) * kl.size].reshape(-1, kl.size) for b in bufs)
+            np.add(rows[:, j, None], kl, out=s1)
+            # The indices are in range; "clip" lets take write to out unbuffered.
+            np.add(np.take(rows, k, axis=1, out=s2, mode="clip"), d_jl, out=s2)
+            np.add(np.take(rows, l, axis=1, out=s3, mode="clip"), d_jk, out=s3)
+            best = max(best, float(_quad_gap(s1, s2, s3, t).max()))
+    return HyperbolicityReport(best / 2.0, "exact", n * (n - 1) * (n - 2) * (n - 3) // 24)
+
+
+def _sampled_gap(d, rng, size: int, limit: int) -> tuple[float, int]:
+    """Draw ``size`` index quadruples and keep the first ``limit`` with four
+    distinct points; returns their largest pair-sum gap and how many they are.
+
+    Every array lives only in this call, so sampling memory is one batch's.
+    """
+    idx = rng.integers(0, d.shape[0], size=(size, 4))
+    pairs = zip(*np.triu_indices(4, 1))
+    idx = idx[np.logical_and.reduce([idx[:, p] != idx[:, q] for p, q in pairs])][:limit]
+    if idx.size == 0:
+        return 0.0, 0
+    a, b, c, e = idx.T
+    gap = _quad_gap(d[a, b] + d[c, e], d[a, c] + d[b, e], d[a, e] + d[b, c], np.empty(a.size))
+    return float(gap.max()), a.size
 
 
 def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
-    """Lower-bound delta from m uniformly sampled distinct quadruples."""
+    """Lower-bound delta from m uniformly sampled distinct quadruples.
+
+    Quadruples are drawn in batches of at most ``_SAMPLE_BATCH``, so memory
+    does not grow with m.
+    """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    n = dm.n
-    if n < 4:
+    if dm.n < 4:
         return HyperbolicityReport(0.0, "sampled", 0, seed)
-    d = dm.values
     rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = m
+    best, remaining = 0.0, m
     while remaining > 0:
-        batch = max(remaining, 1024)
-        idx = rng.integers(0, n, size=(batch, 4))
-        ok = (
-            (idx[:, 0] != idx[:, 1])
-            & (idx[:, 0] != idx[:, 2])
-            & (idx[:, 0] != idx[:, 3])
-            & (idx[:, 1] != idx[:, 2])
-            & (idx[:, 1] != idx[:, 3])
-            & (idx[:, 2] != idx[:, 3])
-        )
-        idx = idx[ok][:remaining]
-        if idx.size == 0:
-            continue
-        a, b, c_, e = idx.T
-        s1 = d[a, b] + d[c_, e]
-        s2 = d[a, c_] + d[b, e]
-        s3 = d[a, e] + d[b, c_]
-        q = _quad_stat(s1, s2, s3)
-        best = max(best, float(q.max()))
-        remaining -= idx.shape[0]
-    return HyperbolicityReport(best, "sampled", m, seed)
+        size = min(max(remaining, 1024), _SAMPLE_BATCH)
+        gap, got = _sampled_gap(dm.values, rng, size, remaining)
+        best, remaining = max(best, gap), remaining - got
+    return HyperbolicityReport(best / 2.0, "sampled", m, seed)
 
 
 def four_point_check(dm: DistanceMatrix, tol: float) -> bool:

@@ -1,10 +1,12 @@
 """Distance-matrix container, hyperbolicity, and cost checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyptree import metrics
 from hyptree.metrics import (
     DistanceMatrix,
     delta_exact,
@@ -37,6 +39,28 @@ def delta_definition_oracle(values: np.ndarray) -> float:
             gp_yz = 0.5 * (values[r, y] + values[r, z] - values[y, z])
             worst = max(worst, min(gp_xz, gp_yz) - gp_xy)
     return worst
+
+
+def delta_pair_sum_reference(values: np.ndarray) -> float:
+    """Plain loop over quadruples: each pair sum one addition, halved per quadruple."""
+    d = values.tolist()
+    worst = 0.0
+    for i, j, k, l in itertools.combinations(range(len(d)), 4):
+        s = sorted([d[i][j] + d[k][l], d[i][k] + d[j][l], d[i][l] + d[j][k]])
+        worst = max(worst, (s[2] - s[1]) / 2)
+    return worst
+
+
+def reference_inputs(rng, n):
+    """Non-dyadic reals (not always metric), integer ties and Euclidean points."""
+    labels = [str(i) for i in range(n)]
+    reals = np.triu(rng.random((n, n)) * 10.0, 1)
+    ties = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+    pts = rng.normal(size=(n, 3))
+    euclid = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return [DistanceMatrix(labels, v + v.T) for v in (reals, ties)] + [
+        DistanceMatrix(labels, euclid)
+    ]
 
 
 def dyadic_matrix(rng, n):
@@ -117,6 +141,20 @@ class TestDeltaExact:
             dm = dyadic_matrix(rng, int(rng.integers(4, 9)))
             assert delta_exact(dm).delta == delta_definition_oracle(dm.values)
 
+    def test_bitwise_matches_pair_sum_reference(self):
+        rng = np.random.default_rng(17)
+        for n in range(4, 25):
+            for dm in reference_inputs(rng, n):
+                assert delta_exact(dm).delta == delta_pair_sum_reference(dm.values)
+
+    def test_small_blocks_match_reference(self, monkeypatch):
+        # With 7-element blocks, j = 15 (one (k, l) pair) and j = 14 (three)
+        # take their rows i < j in several blocks.
+        monkeypatch.setattr(metrics, "_BLOCK", 7)
+        rng = np.random.default_rng(18)
+        for dm in reference_inputs(rng, 18):
+            assert delta_exact(dm).delta == delta_pair_sum_reference(dm.values)
+
 
 class TestDeltaSampled:
     def test_tree_metric_zero(self):
@@ -151,6 +189,22 @@ class TestDeltaSampled:
         rng = np.random.default_rng(15)
         dm = dyadic_matrix(rng, 5)
         assert delta_sampled(dm, 5000, seed=0).delta == delta_exact(dm).delta
+
+    def test_peak_memory_bounded(self):
+        rng = np.random.default_rng(19)
+
+        def peak_mib(fn, n):
+            dm = reference_inputs(rng, n)[0]
+            tracemalloc.start()
+            try:
+                fn(dm)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        # Batches are capped at 2**20 draws, so m = 4e6 costs about what 1e6 does.
+        assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 64) < 100
+        assert peak_mib(delta_exact, 160) < 4
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
