@@ -62,6 +62,16 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
     lexicographically smallest index pair of the working matrix.  Exact on
     additive inputs.
 
+    The working matrix lives in one n x n buffer allocated up front; with m
+    active nodes it is the top-left m x m block, and Q is written into a
+    second buffer.  The joined node replaces row and column i, and row and
+    column j are deleted by shifting the rows and columns after j up and left
+    by one.  Deleting this way keeps the active nodes in their original
+    order, and with it the order in which each row sum adds its entries and
+    the order in which argmin scans Q.  Swapping the last node into slot j,
+    or updating the row sums incrementally, would instead change branch
+    lengths in their last bits and could change which pair wins a tie.
+
     Parameters
     ----------
     dm : DistanceMatrix
@@ -77,7 +87,9 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
         tree = WeightedTree((0,), (), leaf_labels, root=None)
         return (tree, 0) if full_output else tree
 
-    work = dm.values.copy()
+    buf = dm.values.copy()
+    qbuf = np.empty(n * n)
+    rbuf = np.empty(n)
     active = list(range(n))
     next_id = n
     edges: list[tuple[int, int, float]] = []
@@ -90,14 +102,19 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
             return 0.0
         return w
 
-    while len(active) > 3:
-        m = len(active)
-        r = work.sum(axis=1)
-        q = (m - 2) * work - r[:, None] - r[None, :]
-        np.fill_diagonal(q, np.inf)
+    m = n
+    while m > 3:
+        work = buf[:m, :m]
+        r = np.sum(work, axis=1, out=rbuf[:m])
+        q = qbuf[: m * m].reshape(m, m)
+        np.multiply(m - 2, work, out=q)
+        q -= r[:, None]
+        q -= r[None, :]
+        q.flat[:: m + 1] = np.inf
         # Row-major argmin visits (i, j) with i < j before (j, i), so ties
-        # resolve to the lexicographically smallest pair.
-        i, j = np.unravel_index(int(np.argmin(q)), q.shape)
+        # resolve to the lexicographically smallest pair.  Q is scanned in
+        # full: its two triangles can differ in the last bit.
+        i, j = divmod(int(np.argmin(q)), m)
         if i > j:
             i, j = j, i
         li = 0.5 * work[i, j] + (r[i] - r[j]) / (2.0 * (m - 2))
@@ -110,11 +127,13 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
         work[:, i] = merged
         active[i] = next_id
         next_id += 1
-        keep = [k for k in range(m) if k != j]
-        work = work[np.ix_(keep, keep)]
+        work[j:-1, :] = work[j + 1:, :]
+        work[:-1, j:-1] = work[:-1, j + 1:]
         del active[j]
+        m -= 1
+    work = buf[:m, :m]
 
-    if len(active) == 3:
+    if m == 3:
         d01, d02, d12 = work[0, 1], work[0, 2], work[1, 2]
         hub = next_id
         next_id += 1

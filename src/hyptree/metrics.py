@@ -66,7 +66,8 @@ class DistanceMatrix:
         """Same entries presented in a different label order."""
         if sorted(labels) != sorted(self.labels):
             raise ValueError("label sets differ; cannot reorder")
-        idx = [self.labels.index(lbl) for lbl in labels]
+        pos = {lbl: k for k, lbl in enumerate(self.labels)}
+        idx = [pos[lbl] for lbl in labels]
         return DistanceMatrix(list(labels), self.values[np.ix_(idx, idx)])
 
 

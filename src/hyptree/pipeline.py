@@ -32,6 +32,7 @@ from .trees import (
     lca_clan_sizes,
     leaf_distance_matrix,
     midpoint_root,
+    midpoint_root_and_metric,
     tree_distance,
 )
 
@@ -75,13 +76,16 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
                      p: float = 2.0) -> DecodeOutcome:
     """Run one decoder on ``decode_dm`` and score its metric against ``eval_dm``.
 
-    Tree decoders are midpoint-rooted and scored on their leaf metric;
+    Tree decoders are midpoint-rooted and scored on the leaf metric of the
+    unrooted tree, which equals the rooted tree's in exact arithmetic;
     linkage decoders are scored on their cophenetic (ultrametric) matrix.
     """
     if method == "nj":
         tree, clamps = neighbor_joining(decode_dm, full_output=True)
-        rooted = midpoint_root(tree) if tree.n_leaves >= 2 else tree
-        fitted = leaf_distance_matrix(rooted)
+        if tree.n_leaves >= 2:
+            rooted, fitted = midpoint_root_and_metric(tree)
+        else:
+            rooted, fitted = tree, leaf_distance_matrix(tree)
         loss = lp_cost(fitted.reordered(eval_dm.labels), eval_dm, p)
         return DecodeOutcome(loss, clamps, rooted, None)
     dend = linkage(decode_dm, method)

@@ -90,9 +90,6 @@ class WeightedTree:
             adj[v].append((u, w))
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b, _ in self.edges if v in (a, b))
-
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_labels)
@@ -136,7 +133,10 @@ def leaf_distance_matrix(tree: WeightedTree, unit: bool = False) -> DistanceMatr
 
     With ``unit=True`` every edge counts 1 regardless of its weight.
     """
-    leaves, dist = _leaf_path_lengths(tree, unit=unit)
+    return _symmetrised(*_leaf_path_lengths(tree, unit=unit))
+
+
+def _symmetrised(leaves, dist) -> DistanceMatrix:
     return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
 
 
@@ -330,14 +330,30 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
     wins.  If the midpoint falls exactly on a vertex that vertex becomes the
     root; otherwise the straddling edge is split in two.
     """
+    return midpoint_root_and_metric(tree)[0]
+
+
+def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, DistanceMatrix]:
+    """``midpoint_root(tree)`` and ``leaf_distance_matrix(tree)`` from one Dijkstra.
+
+    The metric is that of the unrooted input.  In exact arithmetic it equals
+    the rooted tree's metric; splitting an edge can change the latter's path
+    sums in the last bit.
+    """
     if tree.root is not None:
         raise ValueError("tree is already rooted; trim_root it first")
     if tree.n_leaves < 2:
         raise ValueError("midpoint rooting needs at least two labeled leaves")
     leaves, dist = _leaf_path_lengths(tree)
+    return _root_at_midpoint(tree, leaves, dist), _symmetrised(leaves, dist)
+
+
+def _root_at_midpoint(tree: WeightedTree, leaves, dist: np.ndarray) -> WeightedTree:
+    """Midpoint rooting given the raw (unsymmetrised) leaf path lengths."""
     # Row-major upper-triangle order visits pairs in label order, so argmax,
     # which returns the first maximum, picks the lexicographically smallest
-    # diameter pair.
+    # diameter pair.  The pair and the total come from the raw matrix: the
+    # symmetrised one can round the diameter differently.
     iu, ju = np.triu_indices(len(leaves), 1)
     k = int(np.argmax(dist[iu, ju]))
     total = float(dist[iu[k], ju[k]])

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hyptree.data import random_binary_tree
+from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.decoders import (
     LINKAGE_METHODS,
     Dendrogram,
@@ -125,6 +125,77 @@ def tied_matrices(count, seed):
         yield DistanceMatrix([str(i) for i in range(n)], vals + vals.T)
 
 
+def copying_neighbor_joining(values):
+    """Reference NJ that copies the working matrix on every join.
+
+    Returns ``(edges, clamps)``.  Q, the tie rule and the reduction are
+    written as in the production code, but each join rebuilds the reduced
+    matrix with ``np.ix_`` instead of shifting it in place.
+    """
+    n = values.shape[0]
+    work = np.array(values, dtype=float)
+    active = list(range(n))
+    next_id = n
+    edges = []
+    clamps = 0
+
+    def clamped(w):
+        nonlocal clamps
+        if w < 0.0:
+            clamps += 1
+            return 0.0
+        return float(w)
+
+    while len(active) > 3:
+        m = len(active)
+        r = work.sum(axis=1)
+        q = (m - 2) * work - r[:, None] - r[None, :]
+        np.fill_diagonal(q, np.inf)
+        i, j = np.unravel_index(int(np.argmin(q)), q.shape)
+        if i > j:
+            i, j = j, i
+        li = 0.5 * work[i, j] + (r[i] - r[j]) / (2.0 * (m - 2))
+        lj = 0.5 * work[i, j] + (r[j] - r[i]) / (2.0 * (m - 2))
+        edges.append((active[i], next_id, clamped(li)))
+        edges.append((active[j], next_id, clamped(lj)))
+        merged = 0.5 * (work[i, :] + work[j, :] - work[i, j])
+        merged[i] = 0.0
+        work[i, :] = merged
+        work[:, i] = merged
+        active[i] = next_id
+        next_id += 1
+        keep = [k for k in range(m) if k != j]
+        work = work[np.ix_(keep, keep)]
+        del active[j]
+
+    if len(active) == 3:
+        d01, d02, d12 = work[0, 1], work[0, 2], work[1, 2]
+        edges.append((active[0], next_id, clamped(0.5 * (d01 + d02 - d12))))
+        edges.append((active[1], next_id, clamped(0.5 * (d01 + d12 - d02))))
+        edges.append((active[2], next_id, clamped(0.5 * (d02 + d12 - d01))))
+    else:
+        edges.append((active[0], active[1], clamped(work[0, 1])))
+    return tuple(edges), clamps
+
+
+def nj_oracle_inputs(seed):
+    """Non-metric reals, ties, Euclidean points, n = 2..40.
+
+    Integer entries 1-3 tie exactly in Q.  Entries 0.1-0.3 tie only up to
+    rounding, so the two triangles of Q differ in the last bit there: a
+    search over one triangle picks a different pair on some of them.
+    """
+    rng = np.random.default_rng(seed)
+    for n in range(2, 41):
+        reals = rng.random((n, n))
+        ties = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        near_ties = np.triu(rng.integers(1, 4, size=(n, n)) * 0.1, 1)
+        points = rng.normal(size=(n, 3))
+        euclid = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        for vals in (reals + reals.T, ties + ties.T, near_ties + near_ties.T, euclid):
+            yield DistanceMatrix([str(i) for i in range(n)], vals)
+
+
 class TestNeighborJoining:
     def test_two_leaves(self):
         dm = DistanceMatrix(["a", "b"], [[0, 4], [4, 0]])
@@ -192,6 +263,31 @@ class TestNeighborJoining:
         t1 = neighbor_joining(dm)
         t2 = neighbor_joining(dm)
         assert t1.edges == t2.edges
+        # every pair ties in Q; leaves 0 and 1 join first, into vertex 5
+        assert t1.edges[0][:2] == (0, 5)
+        assert t1.edges[1][:2] == (1, 5)
+
+    def test_q_scanned_in_both_triangles(self):
+        # in thirds, Q(0, 1) and Q(2, 3) tie, but Q(3, 2) rounds one ulp
+        # lower than both; a scan of the upper triangle alone would join 0, 1
+        k = np.array([[0, 1, 3, 3], [1, 0, 2, 3], [3, 2, 0, 1], [3, 3, 1, 0]])
+        tree = neighbor_joining(DistanceMatrix(list("abcd"), k / 3.0))
+        assert tree.edges[0][:2] == (2, 4)
+        assert tree.edges[1][:2] == (3, 4)
+
+    def test_bitwise_matches_copying_reference(self):
+        count = 0
+        for dm in nj_oracle_inputs(41):
+            tree, clamps = neighbor_joining(dm, full_output=True)
+            assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), dm.n
+            count += 1
+        assert count == 4 * 39
+
+    def test_bitwise_matches_copying_reference_noisy_n300(self):
+        t = random_binary_tree(300, 3)
+        dm = graph_leaf_shortest_paths(add_noise_edges(t, 0.3, 4))
+        tree, clamps = neighbor_joining(dm, full_output=True)
+        assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
 
 
 class TestLinkage:

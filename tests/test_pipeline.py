@@ -64,6 +64,15 @@ class TestDecodeAndScore:
         assert out.tree.root is not None
         assert out.dendrogram is None
 
+    def test_nj_loss_matches_rooted_metric(self):
+        # the loss is scored on the unrooted metric; the returned rooted
+        # tree's metric differs from it by rounding only
+        for seed in range(4):
+            dm = noisy_input(n=40, seed=seed)
+            out = decode_and_score(dm, dm, "nj")
+            rooted = lp_cost(leaf_distance_matrix(out.tree).reordered(dm.labels), dm, 2.0)
+            assert out.loss == pytest.approx(rooted, rel=1e-12, abs=0.0)
+
     def test_linkage_matches_manual(self):
         dm = noisy_input()
         out = decode_and_score(dm, dm, "average")

@@ -16,6 +16,7 @@ from hyptree.trees import (
     lca_clan_sizes,
     leaf_distance_matrix,
     midpoint_root,
+    midpoint_root_and_metric,
     tree_distance,
     trim_root,
 )
@@ -348,6 +349,29 @@ class TestRooting:
         rooted = midpoint_root(t)
         incident = sorted(w for u, v, w in rooted.edges if rooted.root in (u, v))
         assert incident == [3.0, 3.0]
+
+    def test_midpoint_root_and_metric_match_separate_calls(self):
+        rng = np.random.default_rng(17)
+        trees = [zero_edge_tree(), quartet_tree()]
+        for seed in range(6):
+            t = random_binary_tree(int(rng.integers(2, 40)), seed)
+            # clamp some weights to zero, as Neighbor Joining does
+            zero = rng.random(len(t.edges)) < 0.3
+            edges = tuple((u, v, 0.0 if z else w) for (u, v, w), z in zip(t.edges, zero))
+            trees += [t, WeightedTree(t.vertices, edges, dict(t.leaf_labels))]
+        for t in trees:
+            rooted, metric = midpoint_root_and_metric(t)
+            alone = midpoint_root(t)
+            assert (rooted.edges, rooted.root) == (alone.edges, alone.root)
+            expected = leaf_distance_matrix(t)
+            assert metric.labels == expected.labels
+            assert np.array_equal(metric.values, expected.values)
+
+    def test_midpoint_root_and_metric_validation(self):
+        with pytest.raises(ValueError):
+            midpoint_root_and_metric(rooted_triplet())
+        with pytest.raises(ValueError):
+            midpoint_root_and_metric(WeightedTree((0,), (), {0: "a"}))
 
     def test_trim_midpoint_roundtrip(self):
         for seed in range(4):
