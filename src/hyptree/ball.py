@@ -6,7 +6,12 @@ per-point API built on :class:`PoincarePoint`, and unvalidated array routines
 operating on ``(n, d)`` coordinate blocks, which the embedding optimizer uses
 in its inner loop.  The encoder uses one shared distance kernel,
 :func:`pairwise_geometry`, for its training loss and gradient and, through
-:func:`pairwise_distance_matrix`, for the denoised matrix.
+:func:`pairwise_distance_matrix`, for the denoised matrix.  The kernel
+returns a :class:`PairGeometry` and can overwrite one from an earlier call,
+so a training run allocates its pairwise arrays once.  Its row quantities
+(``sqnorm``, ``conf``) can be handed to :func:`exp_map_points` and
+:func:`conformal_to_riemannian`, which then skip recomputing them; either way
+the results are the same bits.
 """
 
 from __future__ import annotations
@@ -20,6 +25,16 @@ DEFAULT_MARGIN = 1e-5
 # Norms below this are treated as exactly zero (Mobius scaling of the origin,
 # zero tangent steps).
 _ZERO_NORM = 1e-15
+
+
+def check_margin(margin: float, name: str = "margin") -> None:
+    """Raise ValueError unless the boundary margin lies in (0, 1e-2].
+
+    A margin of 1 or more puts the clip radius (1 - margin)/sqrt(c) at or
+    below zero, which collapses or flips every clipped point.
+    """
+    if not 0.0 < margin <= 1e-2:
+        raise ValueError(f"{name} must lie in (0, 1e-2], got {margin}")
 
 
 def _as_vector(coords) -> np.ndarray:
@@ -167,8 +182,7 @@ def project_to_ball(x, c: float, margin: float = DEFAULT_MARGIN) -> PoincarePoin
     Vectors with sqrt(c)*||x|| >= 1 - margin are rescaled to norm
     (1 - margin)/sqrt(c).  Idempotent.
     """
-    if not 0.0 < margin <= 1e-2:
-        raise ValueError(f"margin must lie in (0, 1e-2], got {margin}")
+    check_margin(margin)
     v = _as_vector(x)
     out = clip_to_ball(v[None, :], c, margin)[0]
     return PoincarePoint(out, c)
@@ -178,76 +192,165 @@ def project_to_ball(x, c: float, margin: float = DEFAULT_MARGIN) -> PoincarePoin
 # Array routines over (n, d) coordinate blocks.  No per-point validation.
 # ---------------------------------------------------------------------------
 
+#: Entries of the coordinate-difference block in :func:`pairwise_geometry`.
+#: Rows are processed in blocks of this many (row, coordinate, column)
+#: entries, so a d = 4 block up to n = 128 is formed in one product and the
+#: block stays at 512 KiB at larger n.
+_DIFF_BLOCK = 2**16
 
-def clip_to_ball(points: np.ndarray, c: float, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; the same operations as ``np.linalg.norm(x, axis=-1)``."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def clip_to_ball(points: np.ndarray, c: float, margin: float = DEFAULT_MARGIN,
+                 full_output: bool = False):
     """Rescale rows with sqrt(c)*||row|| >= 1 - margin back to that radius.
 
     The rescale repeats until every norm is <= the limit, so the operation is
-    exactly idempotent despite rounding in the normalization.
+    exactly idempotent despite rounding in the normalization.  With
+    ``full_output=True`` returns ``(points, rescaled)``, where ``rescaled`` is
+    the number of rows that were over the limit.
     """
     pts = np.array(points, dtype=np.float64)
     limit = (1.0 - margin) / np.sqrt(c)
-    for _ in range(4):
-        norms = np.linalg.norm(pts, axis=-1)
+    rescaled = 0
+    for attempt in range(4):
+        norms = _row_norms(pts)
         mask = norms > limit
         if not mask.any():
             break
+        if attempt == 0:
+            rescaled = int(np.count_nonzero(mask))
         pts[mask] *= (limit / norms[mask])[:, None]
-    return pts
+    return (pts, rescaled) if full_output else pts
 
 
-def pairwise_geometry(points: np.ndarray, c: float):
-    """``(conf, q, dist)`` of an (n, d) point block, shared by distances and gradients.
+class PairGeometry:
+    """Per-point and pairwise quantities of an (n, d) point block.
 
-    ``conf_i = 1 - c||x_i||^2``, ``q_ij = c||x_i - x_j||^2 / (conf_i conf_j)``
-    and ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
-    Differences are formed explicitly, one coordinate at a time (no
-    Gram-matrix shortcut), and distances come from the asinh form of
-    :func:`poincare_distance`, so near-coincident points keep full relative
-    accuracy.
+    ``sqnorm_i = ||x_i||^2``, ``conf_i = 1 - c||x_i||^2``,
+    ``cc_ij = conf_i conf_j``, ``q_ij = c||x_i - x_j||^2 / cc_ij`` and
+    ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
+    ``lhs``, ``rhs`` and ``block`` are the work buffers of
+    :func:`pairwise_geometry`.  A new instance holds uninitialised arrays.
+    """
+
+    def __init__(self, n: int, d: int):
+        rows = max(1, min(n, _DIFF_BLOCK // max(d * n, 1)))
+        self.sqnorm = np.empty(n)
+        self.conf = np.empty(n)
+        self.cc = np.empty((n, n))
+        self.q = np.empty((n, n))
+        self.dist = np.empty((n, n))
+        self.lhs = np.zeros((d, rows, d + 1))
+        for k in range(d):
+            self.lhs[k, :, k] = 1.0
+        self.rhs = np.empty((d + 1, n))
+        self.rhs[d] = 1.0
+        self.block = np.empty((d, rows, n))
+
+
+def pairwise_geometry(points: np.ndarray, c: float,
+                      out: PairGeometry | None = None) -> PairGeometry:
+    """The :class:`PairGeometry` of an (n, d) point block, shared by distances and gradients.
+
+    ``out``, a result of an earlier call on a block of the same shape, is
+    overwritten instead of allocating new arrays.  Differences are formed
+    explicitly (no Gram-matrix shortcut), and distances come from the asinh
+    form of :func:`poincare_distance`, so near-coincident points keep full
+    relative accuracy.  A block of rows gets all its differences from one
+    matrix product, ``[I | x_i] @ [-X^T ; 1]``: each entry is
+    ``x_ik * 1 + 1 * (-x_jk)`` plus exact zeros, which rounds exactly like
+    ``x_ik - x_jk``.  The squared differences are summed over coordinates
+    in order.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
-    sq = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for col in pts.T:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        sq += diff
-    q = np.divide(sq, np.outer(conf, conf), out=sq)
+    n, d = pts.shape
+    geo = PairGeometry(n, d) if out is None else out
+    if geo.rhs.shape != (d + 1, n):
+        raise ValueError(f"buffers for shape {geo.rhs.shape[1], geo.rhs.shape[0] - 1}, "
+                         f"points have shape {pts.shape}")
+    np.einsum("ij,ij->i", pts, pts, out=geo.sqnorm)
+    conf = np.multiply(c, geo.sqnorm, out=geo.conf)
+    np.subtract(1.0, conf, out=conf)
+
+    sq = geo.q
+    rows = geo.block.shape[1]
+    lhs = geo.lhs.reshape(d * rows, d + 1)
+    diff = geo.block.reshape(d * rows, n)
+    np.negative(pts.T, out=geo.rhs[:d])
+    for start in range(0, n, rows):
+        # Equal blocks: the last one overlaps its predecessor if rows does not divide n.
+        start = min(start, n - rows)
+        block = sq[start:start + rows]
+        geo.lhs[:, :, d] = pts[start:start + rows].T
+        np.matmul(lhs, geo.rhs, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.copyto(block, geo.block[0])
+        for k in range(1, d):
+            block += geo.block[k]
+
+    np.multiply(conf[:, None], conf, out=geo.cc)
+    q = np.divide(sq, geo.cc, out=sq)
     q *= c
-    dist = np.arcsinh(np.sqrt(q))
+    dist = np.sqrt(q, out=geo.dist)
+    np.arcsinh(dist, out=dist)
     dist *= 2.0 / np.sqrt(c)
-    return conf, q, dist
+    return geo
 
 
 def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
     """All pairwise hyperbolic distances of an (n, d) point block."""
-    return pairwise_geometry(points, c)[2]
+    return pairwise_geometry(points, c).dist
 
 
-def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Row-wise Mobius sum of two (n, d) blocks."""
-    x2 = np.einsum("ij,ij->i", x, x)[:, None]
+def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float,
+                      x_sqnorm: np.ndarray | None = None,
+                      x_conf: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise Mobius sum of two (n, d) blocks.
+
+    ``x_sqnorm`` (``||x_i||^2``) and ``x_conf`` (``1 - c||x_i||^2``) may pass
+    row quantities of ``x`` the caller already has.
+    """
+    x2 = np.einsum("ij,ij->i", x, x) if x_sqnorm is None else x_sqnorm
+    x_conf = 1.0 - c * x2 if x_conf is None else x_conf
+    x2 = x2[:, None]
     y2 = np.einsum("ij,ij->i", y, y)[:, None]
     xy = np.einsum("ij,ij->i", x, y)[:, None]
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
+    lead = 1.0 + 2.0 * c * xy
+    num = (lead + c * y2) * x + x_conf[:, None] * y
+    den = lead + c * c * x2 * y2
     return num / den
 
 
-def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float) -> np.ndarray:
-    """Row-wise exponential map of tangent steps at the given base points."""
-    lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", base, base))[:, None]
-    nrm = np.linalg.norm(direction, axis=-1, keepdims=True)
+def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float,
+                   sqnorm: np.ndarray | None = None,
+                   conf: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise exponential map of tangent steps at the given base points.
+
+    ``sqnorm`` and ``conf`` may pass the base rows' :class:`PairGeometry`
+    quantities, which are then not computed again.
+    """
+    if sqnorm is None:
+        sqnorm = np.einsum("ij,ij->i", base, base)
+    if conf is None:
+        conf = 1.0 - c * sqnorm
+    lam = 2.0 / conf[:, None]
+    nrm = _row_norms(direction)[:, None]
     safe = np.maximum(nrm, _ZERO_NORM)
     sqrt_c = np.sqrt(c)
     step = np.tanh(sqrt_c * lam * nrm / 2.0) * direction / (sqrt_c * safe)
-    return mobius_add_points(base, step, c)
+    return mobius_add_points(base, step, c, sqnorm, conf)
 
 
-def conformal_to_riemannian(points: np.ndarray, c: float, ambient_grad: np.ndarray) -> np.ndarray:
-    """Rescale ambient gradients by the inverse Poincare metric, ((1-c||x||^2)^2)/4."""
-    conf = 1.0 - c * np.einsum("ij,ij->i", points, points)
+def conformal_to_riemannian(points: np.ndarray, c: float, ambient_grad: np.ndarray,
+                            conf: np.ndarray | None = None) -> np.ndarray:
+    """Rescale ambient gradients by the inverse Poincare metric, ((1-c||x||^2)^2)/4.
+
+    ``conf`` may pass the rows' ``1 - c||x||^2`` (:class:`PairGeometry`).
+    """
+    if conf is None:
+        conf = 1.0 - c * np.einsum("ij,ij->i", points, points)
     return ambient_grad * (conf**2 / 4.0)[:, None]

@@ -28,6 +28,7 @@ from .data import (
 )
 from .decoders import write_dendrogram
 from .embedding import (
+    EmbeddingResult,
     EncoderConfig,
     EncodingError,
     denoised_metric,
@@ -141,6 +142,11 @@ def _write_outcome(outdir: Path, name: str, outcome: DecodeOutcome) -> list[Path
     return paths
 
 
+def _print_boundary(result: EmbeddingResult) -> None:
+    print(f"boundary: rescales = {result.boundary_rescales}, "
+          f"points_at_limit = {result.points_at_limit}", file=sys.stderr)
+
+
 def _cmd_synth(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -162,6 +168,7 @@ def _cmd_denoise(args) -> int:
     t0 = time.perf_counter()
     result = train_embedding(dm, cfg)
     print(f"timing: encoder = {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    _print_boundary(result)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_matrix(denoised_metric(result), outdir / "denoised.txt")
@@ -221,6 +228,7 @@ def _cmd_pipeline(args) -> int:
     )
     for stage, secs in report.wall_times.items():
         print(f"timing: {stage} = {secs:.2f}s", file=sys.stderr)
+    _print_boundary(artifacts["embedding"])
     text = report.to_text()
     if args.output_dir:
         outdir = Path(args.output_dir)

@@ -95,9 +95,10 @@ class EncoderConfig:
             raise ValueError("total_epochs must be at least 1")
         if not 0 <= self.burnin_epochs <= self.total_epochs:
             raise ValueError("need total_epochs >= burnin_epochs >= 0")
-        for name in ("learning_rate", "burnin_factor", "init_radius", "boundary_margin"):
+        for name in ("learning_rate", "burnin_factor", "init_radius"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        ball.check_margin(self.boundary_margin, "boundary_margin")
         if self.scaling_factor is not None and self.scaling_factor <= 0.0:
             raise ValueError("scaling_factor must be positive")
         if self.init_scheme not in INIT_SCHEMES:
@@ -128,11 +129,21 @@ class PoincareEmbedding:
 
 @dataclass
 class EmbeddingResult:
+    """A trained embedding with its loss trace and boundary counts.
+
+    ``boundary_rescales`` counts the points pulled back onto the boundary
+    margin, at the start and after every epoch (a point pulled back in k
+    epochs counts k times); ``points_at_limit`` is the number of points the
+    final epoch pulled back.
+    """
+
     embedding: PoincareEmbedding
     final_loss: float
     loss_trace: np.ndarray
     config: EncoderConfig
     scaling_factor: float
+    boundary_rescales: int = 0
+    points_at_limit: int = 0
 
 
 def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> float:
@@ -145,28 +156,71 @@ def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -
     return _power_sum(dist - dm.values, p) ** (1.0 / p)
 
 
-def _power_sum(resid: np.ndarray, p: float) -> float:
-    """sum_{i<j} |resid_ij|^p of a symmetric residual matrix with zero diagonal."""
-    return 0.5 * float(np.sum(np.abs(resid) ** p))
+def _power_sum(resid: np.ndarray, p: float, work: np.ndarray | None = None) -> float:
+    """sum_{i<j} |resid_ij|^p of a symmetric residual matrix with zero diagonal.
+
+    ``work``, shaped like ``resid``, receives the terms instead of a new array.
+    """
+    if p == 2.0:
+        terms = np.multiply(resid, resid, out=work)
+    else:
+        terms = np.abs(resid, out=work)
+        terms **= p
+    return 0.5 * float(np.add.reduce(terms, axis=None))
 
 
-def _power_gradient(points: np.ndarray, conf: np.ndarray, q: np.ndarray,
-                    resid: np.ndarray, c: float, p: float) -> np.ndarray:
+class _GradientWork:
+    """The n x n buffers of :func:`_power_gradient`, allocated once per run."""
+
+    def __init__(self, n: int):
+        self.root = np.empty((n, n))
+        self.t = np.empty((n, n))
+        self.positive = np.empty((n, n), dtype=bool)
+        # Views of the diagonals: self-pairs have q = 0 and T = 0.
+        self.root_diag = self.root.reshape(-1)[::n + 1]
+        self.t_diag = self.t.reshape(-1)[::n + 1]
+
+
+def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarray,
+                    c: float, p: float, work: _GradientWork | None = None) -> np.ndarray:
     """Ambient gradient of sum_{i<j} |resid_ij|^p, resid = d(x_i, x_j) - t_ij.
 
-    ``conf`` and ``q`` come from :func:`ball.pairwise_geometry` of ``points``;
-    the distance is (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative
-    in x_i is T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
+    ``geo`` is :func:`ball.pairwise_geometry` of ``points``; the distance is
+    (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative in x_i is
+    T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
     T_ij = 2 sqrt(c) r'_ij / (conf_i conf_j sqrt(q_ij (1 + q_ij))) and
-    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) (zero for coincident pairs).
-    The sum over j of T_ij (x_i - x_j) is taken as rowsum(T) x_i - (T @ X)_i.
+    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) (zero for coincident pairs),
+    which is exactly ``2 resid_ij`` for p = 2.  The sum over j of
+    T_ij (x_i - x_j) is taken as rowsum(T) x_i - (T @ X)_i.  ``resid`` is
+    overwritten with r'.
     """
-    coef = p * np.abs(resid) ** (p - 1.0) * np.sign(resid)
-    root = np.sqrt(q * (1.0 + q))
-    t = np.divide(coef, root, out=np.zeros_like(coef), where=root > 0.0)
+    work = _GradientWork(len(points)) if work is None else work
+    coef = resid
+    if p == 2.0:
+        coef *= p
+    else:
+        scale = np.abs(resid, out=work.t)
+        scale **= p - 1.0
+        scale *= p
+        np.sign(resid, out=coef)
+        np.multiply(scale, coef, out=coef)
+    root = np.add(geo.q, 1.0, out=work.root)
+    root *= geo.q
+    np.sqrt(root, out=root)
+    t = work.t
+    # A unit root on the diagonal keeps the divide finite; T_ii is zeroed after.
+    work.root_diag.fill(1.0)
+    positive = np.greater(root, 0.0, out=work.positive)
+    if positive.all():
+        np.divide(coef, root, out=t)
+    else:  # coincident points: T_ij = 0 where q_ij = 0
+        t.fill(0.0)
+        np.divide(coef, root, out=t, where=positive)
+    work.t_diag.fill(0.0)
     t *= 2.0 * np.sqrt(c)
-    t /= np.outer(conf, conf)
-    row = t.sum(axis=1) + (t * q) @ conf
+    t /= geo.cc
+    tq = np.multiply(t, geo.q, out=work.root)
+    row = np.add.reduce(t, axis=1) + tq @ geo.conf
     return row[:, None] * points - t @ points
 
 
@@ -180,16 +234,16 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
     if len(emb.labels) != dm.n:
         raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
     c = emb.curvature
-    conf, q, dist = ball.pairwise_geometry(emb.points, c)
-    resid = dist - dm.values
+    geo = ball.pairwise_geometry(emb.points, c)
+    resid = geo.dist - dm.values
     power_sum = _power_sum(resid, p)
     if power_sum == 0.0:
         ambient = np.zeros_like(emb.points)
     else:
         # chain rule through the outer 1/p root
-        ambient = _power_gradient(emb.points, conf, q, resid, c, p) * (
+        ambient = _power_gradient(emb.points, geo, resid, c, p) * (
             power_sum ** (1.0 / p - 1.0) / p)
-    riem = ball.conformal_to_riemannian(emb.points, c, ambient)
+    riem = ball.conformal_to_riemannian(emb.points, c, ambient, geo.conf)
     return [
         TangentVector(PoincarePoint(x, c), g) for x, g in zip(emb.points, riem)
     ]
@@ -289,7 +343,8 @@ def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     """Classical MDS layout lifted through the origin exponential map.
 
     Each point lands at hyperbolic distance equal to its Euclidean MDS radius
-    from the origin, preserving MDS directions.
+    from the origin, preserving MDS directions.  With fewer points than
+    dimensions the layout has n columns, and the rest are zero.
     """
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
@@ -297,14 +352,19 @@ def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(gram)
     top = np.argsort(eigvals)[::-1][:d]
     coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
+    if top.size < d:
+        coords = np.hstack([coords, np.zeros((n, d - top.size))])
     radii = np.linalg.norm(coords, axis=1, keepdims=True)
     unit = coords / np.maximum(radii, 1e-300)
     return unit * np.tanh(np.sqrt(c) * radii / 2.0) / np.sqrt(c)
 
 
 def _init_points(cfg: EncoderConfig, target: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Starting configuration against the already-rescaled target matrix."""
+                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Starting configuration against the already-rescaled target matrix.
+
+    Returns the points and how many of them were clipped to the boundary margin.
+    """
     n = target.shape[0]
     if cfg.init_scheme == "uniform" or n < 3:
         pts = _uniform_init(rng, n, cfg.dimension, cfg.init_radius)
@@ -319,7 +379,7 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
         # different seeds explore genuinely different optimization paths.
         jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
         pts = ball.exp_map_points(pts, jitter, cfg.curvature)
-    return ball.clip_to_ball(pts, cfg.curvature, cfg.boundary_margin)
+    return ball.clip_to_ball(pts, cfg.curvature, cfg.boundary_margin, full_output=True)
 
 
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
@@ -330,9 +390,12 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     distances divided by the scaling factor versus the raw input.  Each epoch
     performs one Riemannian Adam step (moments kept in ambient tangent
     coordinates, no transport) followed by a projection step that keeps every
-    point inside the boundary margin.  The pairwise geometry is computed once
-    per epoch, after the step: it gives that epoch's loss and the next
-    epoch's gradient.  Fully deterministic for a given seed.
+    point inside the boundary margin; the result counts the points that
+    projection moved.  The pairwise geometry (:func:`ball.pairwise_geometry`)
+    is computed once per epoch, after the step, into buffers allocated once
+    per run: it gives that epoch's loss and the next epoch's gradient, and
+    its row quantities also serve the Riemannian rescale and the exponential
+    map.  Fully deterministic for a given seed.
 
     With ``init_scheme="auto"`` the optimization runs once from the tree
     start and once from the mds start, and the result with the smaller final
@@ -360,13 +423,15 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     else:
         s = 1.0
     target = dm.values * s
-    points = _init_points(cfg, target, rng)
+    points, rescales = _init_points(cfg, target, rng)
 
     m = np.zeros_like(points)
     v = np.zeros(n)
     trace = np.empty(cfg.total_epochs)
-    conf, q, dist = ball.pairwise_geometry(points, c)
-    resid = dist - target
+    # The residual overwrites the kernel's distances, which only feed it.
+    geo = ball.pairwise_geometry(points, c)
+    resid = np.subtract(geo.dist, target, out=geo.dist)
+    work = _GradientWork(n)
     cooldown_start = cfg.total_epochs - max(int(_COOLDOWN_FRACTION * cfg.total_epochs), 1)
     precond = None
 
@@ -374,13 +439,13 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         lr = cfg.learning_rate * (cfg.burnin_factor if epoch >= cfg.burnin_epochs else 1.0)
         if epoch >= cooldown_start:
             lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
-        grad = _power_gradient(points, conf, q, resid, c, cfg.p)
-        grad = ball.conformal_to_riemannian(points, c, grad)
+        grad = _power_gradient(points, geo, resid, c, cfg.p, work)
+        grad = ball.conformal_to_riemannian(points, c, grad, geo.conf)
 
         # Second moment tracks the squared Riemannian norm per point, so the
         # normalized step has roughly unit hyperbolic speed everywhere and
         # boundary-hugging points are not over-driven.
-        lam = 2.0 / conf
+        lam = 2.0 / geo.conf
         gnorm_sq = lam**2 * np.einsum("ij,ij->i", grad, grad)
 
         t = epoch + 1
@@ -393,12 +458,13 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         # in proportion to the gradient and the iterate can settle instead of
         # hovering at a constant-step floor.
         step = -lr * m_hat / precond[:, None]
-        points = ball.exp_map_points(points, step, c)
-        points = ball.clip_to_ball(points, c, cfg.boundary_margin)
+        points = ball.exp_map_points(points, step, c, geo.sqnorm, geo.conf)
+        points, clipped = ball.clip_to_ball(points, c, cfg.boundary_margin, full_output=True)
+        rescales += clipped
 
-        conf, q, dist = ball.pairwise_geometry(points, c)
-        resid = dist - target
-        loss = _power_sum(resid, cfg.p) ** (1.0 / cfg.p) / s
+        ball.pairwise_geometry(points, c, out=geo)
+        np.subtract(geo.dist, target, out=resid)
+        loss = _power_sum(resid, cfg.p, work.t) ** (1.0 / cfg.p) / s
         if not np.isfinite(loss):
             bad = np.argwhere(~np.isfinite(resid))
             i, j = (int(bad[0][0]), int(bad[0][1])) if bad.size else (0, 0)
@@ -410,14 +476,17 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         trace[epoch] = loss
 
     emb = PoincareEmbedding(list(dm.labels), points, c)
-    return EmbeddingResult(emb, float(trace[-1]), trace, replace(cfg), s)
+    return EmbeddingResult(emb, float(trace[-1]), trace, replace(cfg), s, rescales, clipped)
 
 
 def denoised_metric(result: EmbeddingResult) -> DistanceMatrix:
-    """Pairwise embedded distances mapped back to original input units."""
+    """Pairwise embedded distances mapped back to original input units.
+
+    The kernel's distances are exactly symmetric, so they need no averaging.
+    """
     emb = result.embedding
     dist = ball.pairwise_distance_matrix(emb.points, emb.curvature) / result.scaling_factor
-    return DistanceMatrix(list(emb.labels), (dist + dist.T) / 2.0)
+    return DistanceMatrix(list(emb.labels), dist)
 
 
 def write_embedding(result: EmbeddingResult, path) -> None:

@@ -257,6 +257,36 @@ class TestEncoderOptions:
         assert (cfg.seed, cfg.curvature) == (4, 10.0)
 
 
+    def test_invalid_boundary_margin_exits_2(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        for command in ("denoise", "pipeline"):
+            rc = main([
+                command, "--input", str(src / "matrix.txt"), "--output-dir",
+                str(tmp_path / command), "--boundary-margin", "1.0", *FAST,
+            ])
+            assert rc == 2
+            assert "boundary_margin" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
+
+    def test_boundary_counts_on_stderr(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        for command in ("denoise", "pipeline"):
+            rc = main([
+                command, "--input", str(src / "matrix.txt"), "--output-dir",
+                str(tmp_path / command), "--scaling-factor", "1", *FAST,
+            ])
+            assert rc == 0
+            err = capsys.readouterr().err
+            line = [ln for ln in err.splitlines() if ln.startswith("boundary:")]
+            assert len(line) == 1
+            counts = dict(kv.strip().split(" = ") for kv in line[0][9:].split(","))
+            assert int(counts["rescales"]) > 0
+            assert 0 < int(counts["points_at_limit"]) <= 12
+        report = (tmp_path / "pipeline" / "report.txt").read_text()
+        assert "boundary" not in report and "rescales" not in report
+
+
 class TestConfigFile:
     def test_defaults_from_config(self, tmp_path, capsys):
         src = synth(tmp_path)

@@ -1,13 +1,16 @@
 """Encoder checks: loss, gradients, training behavior, exports."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hyptree import ball
+from hyptree import embedding as embedding_module
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.embedding import (
+    INIT_SCHEMES,
     EmbeddingResult,
     EncoderConfig,
     PoincareEmbedding,
@@ -35,6 +38,114 @@ def random_embedding(rng, n, d, c, rmax=0.6):
     return PoincareEmbedding([f"e{i}" for i in range(n)], r * g / np.sqrt(c), c)
 
 
+# ---------------------------------------------------------------------------
+# Reference encoder: the training loop as it was before it reused the
+# kernel's row quantities and buffers, one fresh array per operation.  The
+# encoder must reproduce its points and loss trace bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_geometry(pts, c):
+    n = pts.shape[0]
+    conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
+    sq = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in pts.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
+    q = np.divide(sq, np.outer(conf, conf), out=sq)
+    q *= c
+    dist = np.arcsinh(np.sqrt(q))
+    dist *= 2.0 / np.sqrt(c)
+    return conf, q, dist
+
+
+def reference_power_gradient(points, conf, q, resid, c, p):
+    coef = p * np.abs(resid) ** (p - 1.0) * np.sign(resid)
+    root = np.sqrt(q * (1.0 + q))
+    t = np.divide(coef, root, out=np.zeros_like(coef), where=root > 0.0)
+    t *= 2.0 * np.sqrt(c)
+    t /= np.outer(conf, conf)
+    row = t.sum(axis=1) + (t * q) @ conf
+    return row[:, None] * points - t @ points
+
+
+def reference_exp_map(base, direction, c):
+    lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", base, base))[:, None]
+    nrm = np.linalg.norm(direction, axis=-1, keepdims=True)
+    safe = np.maximum(nrm, 1e-15)
+    sqrt_c = np.sqrt(c)
+    y = np.tanh(sqrt_c * lam * nrm / 2.0) * direction / (sqrt_c * safe)
+    x2 = np.einsum("ij,ij->i", base, base)[:, None]
+    y2 = np.einsum("ij,ij->i", y, y)[:, None]
+    xy = np.einsum("ij,ij->i", base, y)[:, None]
+    num = (1.0 + 2.0 * c * xy + c * y2) * base + (1.0 - c * x2) * y
+    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
+    return num / den
+
+
+def reference_clip(points, c, margin):
+    pts = np.array(points, dtype=np.float64)
+    limit = (1.0 - margin) / np.sqrt(c)
+    for _ in range(4):
+        norms = np.linalg.norm(pts, axis=-1)
+        mask = norms > limit
+        if not mask.any():
+            break
+        pts[mask] *= (limit / norms[mask])[:, None]
+    return pts
+
+
+def reference_train(dm, cfg):
+    """``(points, loss_trace)`` of the reference loop from the encoder's own start."""
+    if cfg.init_scheme == "auto":
+        runs = [reference_train(dm, replace(cfg, init_scheme=s)) for s in ("tree", "mds")]
+        return min(runs, key=lambda run: run[1][-1])
+    c, p = cfg.curvature, cfg.p
+    max_d = float(dm.values.max()) if dm.n > 1 else 0.0
+    if cfg.scaling_factor is not None:
+        s = cfg.scaling_factor
+    else:
+        s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
+    target = dm.values * s
+    points, _ = embedding_module._init_points(cfg, target, np.random.default_rng(cfg.seed))
+    m = np.zeros_like(points)
+    v = np.zeros(dm.n)
+    trace = np.empty(cfg.total_epochs)
+    conf, q, dist = reference_geometry(points, c)
+    resid = dist - target
+    cooldown_start = cfg.total_epochs - max(int(0.2 * cfg.total_epochs), 1)
+    precond = None
+    for epoch in range(cfg.total_epochs):
+        lr = cfg.learning_rate * (cfg.burnin_factor if epoch >= cfg.burnin_epochs else 1.0)
+        if epoch >= cooldown_start:
+            lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
+        grad = reference_power_gradient(points, conf, q, resid, c, p)
+        rconf = 1.0 - c * np.einsum("ij,ij->i", points, points)
+        grad = grad * (rconf**2 / 4.0)[:, None]
+        lam = 2.0 / conf
+        gnorm_sq = lam**2 * np.einsum("ij,ij->i", grad, grad)
+        t = epoch + 1
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * gnorm_sq
+        m_hat = m / (1.0 - 0.9**t)
+        if epoch < cooldown_start or precond is None:
+            precond = np.sqrt(v / (1.0 - 0.999**t)) + 1e-15
+        step = -lr * m_hat / precond[:, None]
+        points = reference_clip(reference_exp_map(points, step, c), c, cfg.boundary_margin)
+        conf, q, dist = reference_geometry(points, c)
+        resid = dist - target
+        trace[epoch] = (0.5 * float(np.sum(np.abs(resid) ** p))) ** (1.0 / p) / s
+    return points, trace
+
+
+def assert_bitwise(res, ref):
+    points, trace = ref
+    assert res.embedding.points.tobytes() == points.tobytes()
+    assert res.loss_trace.tobytes() == trace.tobytes()
+
+
 class TestEncoderConfig:
     def test_defaults_valid(self):
         EncoderConfig()
@@ -50,6 +161,10 @@ class TestEncoderConfig:
             {"scaling_factor": -1.0},
             {"total_epochs": 0},
             {"init_scheme": "magic"},
+            {"boundary_margin": 0.0},
+            {"boundary_margin": 0.02},
+            {"boundary_margin": 1.0},
+            {"boundary_margin": 1.5},
         ],
     )
     def test_invalid(self, kw):
@@ -232,6 +347,15 @@ class TestTraining:
         norms = np.sqrt(100.0) * np.linalg.norm(res.embedding.points, axis=1)
         assert np.all(norms < 1.0)
 
+    @pytest.mark.parametrize("n, d", [(3, 4), (4, 8)])
+    def test_mds_start_fills_every_dimension(self, n, d, tmp_path):
+        dm = random_dm(np.random.default_rng(65), n)
+        res = train_embedding(dm, EncoderConfig(dimension=d, total_epochs=20, burnin_epochs=2))
+        assert res.embedding.points.shape == (n, d)
+        assert np.all(res.embedding.points[:, n:] != 0.0)
+        write_embedding(res, tmp_path / "emb.txt")
+        assert f"dim={d}" in (tmp_path / "emb.txt").read_text().splitlines()[0]
+
     @pytest.mark.parametrize("scheme", ["uniform", "seriation", "mds", "tree", "auto"])
     def test_init_schemes_all_train(self, scheme):
         rng = np.random.default_rng(61)
@@ -243,7 +367,115 @@ class TestTraining:
         assert np.isfinite(res.final_loss)
 
 
+class TestBitwiseReference:
+    """The encoder reproduces the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_matches_reference(self, n, d, p):
+        dm = random_dm(np.random.default_rng(1000 + n), n)
+        cfg = EncoderConfig(dimension=d, p=p, seed=n + d, total_epochs=40, burnin_epochs=4)
+        assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
+
+    @pytest.mark.parametrize("scheme", INIT_SCHEMES)
+    def test_every_init_scheme(self, scheme):
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(24, 5), 0.3, 6))
+        cfg = EncoderConfig(init_scheme=scheme, total_epochs=60, burnin_epochs=6)
+        assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
+
+    def test_saturating_run(self):
+        # Targets far beyond the ball's reachable diameter pin points at the
+        # boundary margin, so the clip path runs in most epochs.
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(30, 7), 0.3, 8))
+        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=80, burnin_epochs=8)
+        res = train_embedding(dm, cfg)
+        assert res.boundary_rescales > cfg.total_epochs
+        assert_bitwise(res, reference_train(dm, cfg))
+
+    @pytest.mark.parametrize("diagonal", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_power_gradient_with_coincident_points(self, p, diagonal):
+        rng = np.random.default_rng(70)
+        c = 100.0
+        pts = random_embedding(rng, 7, 3, c).points
+        pts[4] = pts[1]
+        pts[6] = pts[1]
+        # a nonzero diagonal checks that self-pairs contribute exactly nothing
+        target = random_dm(rng, 7).values + diagonal * np.eye(7)
+        conf, q, dist = reference_geometry(pts, c)
+        assert np.count_nonzero(q == 0.0) == 7 + 6
+        resid = dist - target
+        expected = reference_power_gradient(pts, conf, q, resid, c, p)
+        geo = ball.pairwise_geometry(pts, c)
+        got = embedding_module._power_gradient(pts, geo, geo.dist - target, c, p)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_kernel_matches_reference_geometry(self):
+        rng = np.random.default_rng(71)
+        # n = 300 takes several row blocks, the last one overlapping.
+        for n, d in [(1, 2), (5, 2), (40, 4), (300, 4), (12, 9)]:
+            pts = random_embedding(rng, n, d, 100.0, rmax=0.99).points
+            conf, q, dist = reference_geometry(pts, 100.0)
+            geo = ball.pairwise_geometry(pts, 100.0)
+            for got, want in [(geo.conf, conf), (geo.q, q), (geo.dist, dist),
+                              (geo.cc, np.outer(conf, conf))]:
+                assert got.tobytes() == want.tobytes()
+            again = ball.pairwise_geometry(pts[::-1], 100.0, out=geo)
+            assert again is geo
+            assert geo.dist.tobytes() == reference_geometry(pts[::-1], 100.0)[2].tobytes()
+
+    def test_kernel_rejects_mismatched_buffers(self):
+        geo = ball.pairwise_geometry(np.zeros((4, 2)), 1.0)
+        with pytest.raises(ValueError):
+            ball.pairwise_geometry(np.zeros((5, 2)), 1.0, out=geo)
+        with pytest.raises(ValueError):
+            ball.pairwise_geometry(np.zeros((4, 3)), 1.0, out=geo)
+
+
+class TestBoundaryCounts:
+    def test_saturating_run_counts(self):
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(64, 3), 0.3, 4))
+        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=200, burnin_epochs=20)
+        res = train_embedding(dm, cfg)
+        assert res.boundary_rescales > 0
+        assert 0 < res.points_at_limit <= dm.n
+        radii = np.sqrt(cfg.curvature) * np.linalg.norm(res.embedding.points, axis=1)
+        assert np.sum(radii >= (1.0 - cfg.boundary_margin) * (1.0 - 1e-12)) >= res.points_at_limit
+        again = train_embedding(dm, cfg)
+        assert (again.boundary_rescales, again.points_at_limit) == (
+            res.boundary_rescales, res.points_at_limit)
+
+    def test_unsaturated_run_counts_zero(self):
+        # A tree metric at half the default spread stays clear of the margin.
+        dm = leaf_distance_matrix(random_binary_tree(16, 2))
+        cfg = EncoderConfig(scaling_factor=1.0 / float(dm.values.max()),
+                            total_epochs=100, burnin_epochs=10)
+        res = train_embedding(dm, cfg)
+        assert (res.boundary_rescales, res.points_at_limit) == (0, 0)
+
+    def test_clip_reports_rows_moved(self):
+        pts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, -3.0]])
+        out, moved = ball.clip_to_ball(pts, 100.0, 1e-5, full_output=True)
+        assert moved == 2
+        assert np.array_equal(out, ball.clip_to_ball(pts, 100.0, 1e-5))
+        assert ball.clip_to_ball(out, 100.0, 1e-5, full_output=True)[1] == 0
+
+
 class TestDenoisedMetric:
+    def test_kernel_distances_exactly_symmetric(self):
+        rng = np.random.default_rng(64)
+        for c in (1.0, 100.0):
+            pts = random_embedding(rng, 30, 4, c, rmax=0.999).points
+            # near-coincident pairs, down to one ulp apart
+            pts[1] = pts[0] * (1.0 + 1e-13)
+            pts[2] = np.nextafter(pts[0], 1.0)
+            pts[3] = pts[0]
+            dist = ball.pairwise_distance_matrix(pts, c)
+            assert np.array_equal(dist, dist.T)
+            assert np.all(np.diag(dist) == 0.0)
+            assert dist[0, 1] > 0.0 and dist[0, 3] == 0.0
+
     def test_identical_points_zero(self):
         emb = PoincareEmbedding(["u", "v", "w"], np.zeros((3, 2)), 1.0)
         res = EmbeddingResult(emb, 0.0, np.zeros(1), EncoderConfig(), 1.0)
