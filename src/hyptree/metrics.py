@@ -35,13 +35,14 @@ class DistanceMatrix:
             i, j = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite entry at ({self.labels[i]}, {self.labels[j]})")
         asym = np.abs(vals - vals.T)
-        if asym.size and asym.max() > SYMMETRY_TOL:
+        worst = asym.max() if asym.size else 0.0
+        if worst > SYMMETRY_TOL:
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise ValueError(
                 f"asymmetry {asym[i, j]:.3g} at ({self.labels[i]}, {self.labels[j]}) "
                 f"exceeds {SYMMETRY_TOL:g}"
             )
-        if asym.size and asym.max() > 0.0:
+        if worst > 0.0:
             vals = (vals + vals.T) / 2.0
         if vals.size and vals.min() < -1e-12:
             i, j = np.unravel_index(np.argmin(vals), vals.shape)
@@ -108,7 +109,9 @@ def _quad_gap(s1, s2, s3, t):
 #: Elements per block of the exact scan, which keeps its buffers cache-sized;
 #: blocks also hold at most n² elements, so small inputs get small buffers.
 _BLOCK = 2**15
+#: Quadruples drawn at once by the sampler, and rows per chunk of its scan.
 _SAMPLE_BATCH = 2**20
+_SAMPLE_CHUNK = 2**13
 
 
 def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
@@ -153,23 +156,55 @@ def _sampled_gap(d, rng, size: int, limit: int) -> tuple[float, int]:
     """Draw ``size`` index quadruples and keep the first ``limit`` with four
     distinct points; returns their largest pair-sum gap and how many they are.
 
-    Every array lives only in this call, so sampling memory is one batch's.
+    The draws are scanned in chunks of at most ``_SAMPLE_CHUNK`` rows.  Each
+    pair sum takes its two distances from the flattened matrix with ``take``,
+    into buffers allocated once per call, and the gap of every row not kept
+    is set to 0 before the maximum, so kept rows are never copied out.  Every
+    array lives only in this call, so sampling memory is one batch's.
     """
-    idx = rng.integers(0, d.shape[0], size=(size, 4))
-    pairs = zip(*np.triu_indices(4, 1))
-    idx = idx[np.logical_and.reduce([idx[:, p] != idx[:, q] for p, q in pairs])][:limit]
-    if idx.size == 0:
-        return 0.0, 0
-    a, b, c, e = idx.T
-    gap = _quad_gap(d[a, b] + d[c, e], d[a, c] + d[b, e], d[a, e] + d[b, c], np.empty(a.size))
-    return float(gap.max()), a.size
+    n = d.shape[0]
+    flat = d.ravel()
+    idx = rng.integers(0, n, size=(size, 4))
+    rows = min(size, _SAMPLE_CHUNK)
+    floats, ints = np.empty((5, rows)), np.empty((4, rows), dtype=idx.dtype)
+    flags = np.empty((2, rows), dtype=bool)
+    best, got = 0.0, 0
+    for r0 in range(0, size, rows):
+        a, b, c, e = idx[r0 : r0 + rows].T
+        (s1, s2, s3, t, u), (an, bn, cn, at) = floats[:, : a.size], ints[:, : a.size]
+        drop, same = flags[:, : a.size]
+        np.equal(a, b, out=drop)
+        for x, y in ((a, c), (a, e), (b, c), (b, e), (c, e)):
+            np.logical_or(drop, np.equal(x, y, out=same), out=drop)
+        kept = a.size - int(np.count_nonzero(drop))
+        if got + kept > limit:
+            drop[np.flatnonzero(~drop)[limit - got] :] = True
+            kept = limit - got
+        got += kept
+        np.multiply(a, n, out=an)
+        np.multiply(b, n, out=bn)
+        np.multiply(c, n, out=cn)
+        # The pairings (ab|ce), (ac|be), (ae|bc).  The indices are in range;
+        # "clip" lets take write to out unbuffered.
+        for out, (x, y), (z, w) in ((s1, (an, b), (cn, e)), (s2, (an, c), (bn, e)),
+                                    (s3, (an, e), (bn, c))):
+            np.take(flat, np.add(x, y, out=at), out=out, mode="clip")
+            np.add(out, np.take(flat, np.add(z, w, out=at), out=u, mode="clip"), out=out)
+        gap = _quad_gap(s1, s2, s3, t)
+        np.copyto(gap, 0.0, where=drop)
+        best = max(best, float(gap.max()))
+        if got == limit:
+            break
+    return best, got
 
 
 def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
     """Lower-bound delta from m uniformly sampled distinct quadruples.
 
-    Quadruples are drawn in batches of at most ``_SAMPLE_BATCH``, so memory
-    does not grow with m.
+    Index quadruples are drawn from ``default_rng(seed)`` in batches of at
+    most ``_SAMPLE_BATCH``, and the first m whose four points are distinct
+    are scored, so memory does not grow with m.  The result depends only on
+    (matrix, m, seed), not on how the batches are scanned.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
@@ -211,7 +246,7 @@ def lp_cost(fitted: DistanceMatrix, target: DistanceMatrix, p: float = 2.0) -> f
         raise ValueError(f"p must be >= 1, got {p}")
     if fitted.labels != target.labels:
         raise ValueError("matrices are labeled differently; align them first")
-    diff = np.abs(fitted.pair_vector() - target.pair_vector())
+    diff = np.abs(fitted.values - target.values)[np.triu_indices(fitted.n, 1)]
     if diff.size == 0:
         return 0.0
     return float(np.sum(diff**p) ** (1.0 / p))

@@ -79,6 +79,8 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
     Tree decoders are midpoint-rooted and scored on the leaf metric of the
     unrooted tree, which equals the rooted tree's in exact arithmetic;
     linkage decoders are scored on their cophenetic (ultrametric) matrix.
+    A decoded matrix is reordered to ``eval_dm``'s labels only when its
+    label order differs.
     """
     if method == "nj":
         tree, clamps = neighbor_joining(decode_dm, full_output=True)
@@ -86,12 +88,16 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
             rooted, fitted = midpoint_root_and_metric(tree)
         else:
             rooted, fitted = tree, leaf_distance_matrix(tree)
-        loss = lp_cost(fitted.reordered(eval_dm.labels), eval_dm, p)
-        return DecodeOutcome(loss, clamps, rooted, None)
+        return DecodeOutcome(_score(fitted, eval_dm, p), clamps, rooted, None)
     dend = linkage(decode_dm, method)
-    coph = dendrogram_to_ultrametric(dend)
-    loss = lp_cost(coph.reordered(eval_dm.labels), eval_dm, p)
+    loss = _score(dendrogram_to_ultrametric(dend), eval_dm, p)
     return DecodeOutcome(loss, None, dendrogram_to_tree(dend), dend)
+
+
+def _score(fitted: DistanceMatrix, eval_dm: DistanceMatrix, p: float) -> float:
+    if fitted.labels != eval_dm.labels:
+        fitted = fitted.reordered(eval_dm.labels)
+    return lp_cost(fitted, eval_dm, p)
 
 
 def run_pipeline(

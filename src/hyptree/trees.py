@@ -3,18 +3,19 @@
 Covers leaf-to-leaf metrics, LCA and clan sizes, the Dasgupta cost, the
 pair-by-edge path-incidence matrix with nonnegative least-squares weight
 fitting, midpoint rooting, root trimming, and a unit-edge tree-to-tree
-distance for topology comparisons.
+distance for topology comparisons.  Leaf metrics need no graph search: a
+tree has one path between two vertices, so two propagation passes over its
+vertices give every leaf-to-leaf path length.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
-from scipy.sparse.csgraph import dijkstra
 
 from .metrics import DistanceMatrix
 
@@ -54,7 +55,7 @@ class WeightedTree:
                 raise TreeStructureError(f"edge ({u}, {v}) references unknown vertex")
             if u == v:
                 raise TreeStructureError(f"self-loop at vertex {u}")
-            if not np.isfinite(w) or w < 0.0:
+            if not math.isfinite(w) or w < 0.0:
                 raise TreeStructureError(f"edge ({u}, {v}) has invalid weight {w}")
             deg[u] += 1
             deg[v] += 1
@@ -111,21 +112,52 @@ class DesignMatrix:
 def _leaf_path_lengths(tree: WeightedTree, unit: bool = False):
     """Labeled leaves in label order and their leaf-to-leaf path lengths.
 
-    One ``scipy.sparse.csgraph.dijkstra`` call from every leaf over a CSR
-    graph built from the edge list.  Entry (i, j) sums the path starting at
-    leaf i, so it may differ from (j, i) in the last bit.  Zero weights are
-    stored as explicit entries, which csgraph treats as edges, not as gaps.
-    With ``unit=True`` every edge counts 1 regardless of its weight.
+    The tree is rooted at ``vertices[0]`` and walked in preorder, so the
+    labeled leaves of every subtree take one contiguous range of source
+    columns.  Row v of a |V| x n_leaves array holds the path length from
+    every source leaf to v.  A bottom-up pass fills the sources inside each
+    subtree (row parent(v) = row v + w), then a top-down pass fills the
+    sources outside it (row v = row parent(v) + w).  Each entry is thus
+    summed edge by edge outward from its source leaf, as Dijkstra's
+    relaxation sums it, so entry (i, j) may differ from (j, i) in the last
+    bit.  With ``unit=True`` every edge counts 1 regardless of its weight.
     """
     leaves = tree.sorted_leaves()
-    pos = {v: k for k, v in enumerate(tree.vertices)}
-    rows = [pos[u] for u, _, _ in tree.edges]
-    cols = [pos[v] for _, v, _ in tree.edges]
-    weights = [1.0 if unit else w for _, _, w in tree.edges]
-    m = len(tree.vertices)
-    graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(m, m), dtype=np.float64)
-    idx = [pos[v] for _, v in leaves]
-    return leaves, dijkstra(graph, directed=False, indices=idx)[:, idx]
+    adj = tree.adjacency()
+    # Popping a vertex pushes its children, so its whole subtree is popped
+    # before anything below it on the stack: the pop order is a preorder.
+    # Per position k in it: the parent's position, the weight of the edge to
+    # the parent, and lo[k], the first source column in the subtree.
+    up, weight, lo, at = [], [], [], {}
+    seen = {tree.vertices[0]}
+    stack = [(tree.vertices[0], -1, 0.0)]
+    while stack:
+        u, p, w = stack.pop()
+        k = len(up)
+        up.append(p)
+        weight.append(1.0 if unit else w)
+        lo.append(len(at))
+        if u in tree.leaf_labels:
+            at[u] = k
+        for v, wv in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append((v, k, wv))
+    m = len(up)
+    dist = np.empty((m, len(at)))
+    for k in at.values():
+        dist[k, lo[k]] = 0.0
+    # hi[k], one past the last source column in the subtree, is final once
+    # every later position (all of k's descendants) has been visited.
+    hi = lo[1:] + [len(at)]
+    for k in range(m - 1, 0, -1):
+        np.add(dist[k, lo[k] : hi[k]], weight[k], out=dist[up[k], lo[k] : hi[k]])
+        hi[up[k]] = max(hi[up[k]], hi[k])
+    for k in range(1, m):
+        np.add(dist[up[k], : lo[k]], weight[k], out=dist[k, : lo[k]])
+        np.add(dist[up[k], hi[k] :], weight[k], out=dist[k, hi[k] :])
+    rows = [at[v] for _, v in leaves]
+    return leaves, np.ascontiguousarray(dist[np.ix_(rows, [lo[k] for k in rows])].T)
 
 
 def leaf_distance_matrix(tree: WeightedTree, unit: bool = False) -> DistanceMatrix:
@@ -330,26 +362,27 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
     wins.  If the midpoint falls exactly on a vertex that vertex becomes the
     root; otherwise the straddling edge is split in two.
     """
-    return midpoint_root_and_metric(tree)[0]
+    return _root_at_midpoint(tree, *_leaf_path_lengths(tree))
 
 
 def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, DistanceMatrix]:
-    """``midpoint_root(tree)`` and ``leaf_distance_matrix(tree)`` from one Dijkstra.
+    """``midpoint_root(tree)`` and ``leaf_distance_matrix(tree)`` from one
+    leaf path-length pass.
 
     The metric is that of the unrooted input.  In exact arithmetic it equals
     the rooted tree's metric; splitting an edge can change the latter's path
     sums in the last bit.
     """
-    if tree.root is not None:
-        raise ValueError("tree is already rooted; trim_root it first")
-    if tree.n_leaves < 2:
-        raise ValueError("midpoint rooting needs at least two labeled leaves")
     leaves, dist = _leaf_path_lengths(tree)
     return _root_at_midpoint(tree, leaves, dist), _symmetrised(leaves, dist)
 
 
 def _root_at_midpoint(tree: WeightedTree, leaves, dist: np.ndarray) -> WeightedTree:
     """Midpoint rooting given the raw (unsymmetrised) leaf path lengths."""
+    if tree.root is not None:
+        raise ValueError("tree is already rooted; trim_root it first")
+    if tree.n_leaves < 2:
+        raise ValueError("midpoint rooting needs at least two labeled leaves")
     # Row-major upper-triangle order visits pairs in label order, so argmax,
     # which returns the first maximum, picks the lexicographically smallest
     # diameter pair.  The pair and the total come from the raw matrix: the

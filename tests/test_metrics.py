@@ -63,6 +63,21 @@ def reference_inputs(rng, n):
     ]
 
 
+def compacting_sampled_gap(d, rng, size, limit):
+    """Reference sampler: copies the first ``limit`` quadruples with four
+    distinct points out of the draw, then gathers their six distances."""
+    idx = rng.integers(0, d.shape[0], size=(size, 4))
+    pairs = zip(*np.triu_indices(4, 1))
+    idx = idx[np.logical_and.reduce([idx[:, p] != idx[:, q] for p, q in pairs])][:limit]
+    if idx.size == 0:
+        return 0.0, 0
+    a, b, c, e = idx.T
+    gap = metrics._quad_gap(
+        d[a, b] + d[c, e], d[a, c] + d[b, e], d[a, e] + d[b, c], np.empty(a.size)
+    )
+    return float(gap.max()), a.size
+
+
 def dyadic_matrix(rng, n):
     """Random symmetric matrix with entries k/16: both delta routes are exact."""
     raw = rng.integers(1, 64, size=(n, n)) / 16.0
@@ -206,6 +221,34 @@ class TestDeltaSampled:
         assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 64) < 100
         assert peak_mib(delta_exact, 160) < 4
 
+    def test_bitwise_matches_compacting_reference(self, monkeypatch):
+        # At n = 4 only 24 of 256 draws have four distinct points, so the
+        # batches run short and the last one is cut at the remaining count.
+        rng = np.random.default_rng(21)
+        for n in (4, 5, 8, 64, 192):
+            dm = reference_inputs(rng, n)[0]
+            for m in (1, 7, 1023, 1025, 2**20, 2**20 + 1):
+                for seed in (0, 1, 2):
+                    got = delta_sampled(dm, m, seed)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(metrics, "_sampled_gap", compacting_sampled_gap)
+                        want = delta_sampled(dm, m, seed)
+                    assert got == want, (n, m, seed)
+
+    def test_small_chunks_match_compacting_reference(self, monkeypatch):
+        # With 7-row chunks a batch is cut at its remaining count in a chunk
+        # after the first, which the default chunk size never does.
+        rng = np.random.default_rng(22)
+        for n in (4, 8, 64):
+            dm = reference_inputs(rng, n)[1]
+            for m in (1, 7, 1023, 1025, 3000):
+                with monkeypatch.context() as patch:
+                    patch.setattr(metrics, "_SAMPLE_CHUNK", 7)
+                    got = delta_sampled(dm, m, seed=5)
+                    patch.setattr(metrics, "_sampled_gap", compacting_sampled_gap)
+                    want = delta_sampled(dm, m, seed=5)
+                assert got == want, (n, m)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             delta_sampled(QUARTET, 0, seed=0)
@@ -272,6 +315,15 @@ class TestLpCost:
         a = DistanceMatrix(["x", "y", "z"], [[0, 3, 4], [3, 0, 0], [4, 0, 0]])
         b = DistanceMatrix(["x", "y", "z"], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert lp_cost(a, b, 2.0) == 5.0
+
+    def test_bitwise_matches_pair_vector_formula(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 17, 64):
+            a, b, _ = reference_inputs(rng, n)
+            for p in (1.0, 2.0, 3.0):
+                diff = np.abs(a.pair_vector() - b.pair_vector())
+                want = 0.0 if diff.size == 0 else float(np.sum(diff**p) ** (1.0 / p))
+                assert lp_cost(a, b, p) == want, (n, p)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,19 @@ class TestDecodeAndScore:
         assert out.loss == lp_cost(coph.reordered(dm.labels), dm, 2.0)
         assert out.dendrogram is not None
 
+    def test_scored_in_eval_label_order(self):
+        # Decoded matrices come in sorted label order; an evaluation matrix
+        # in another order gets them reordered to its own.
+        dm = noisy_input()
+        flipped = dm.reordered(dm.labels[::-1])
+        fitted = {
+            "nj": leaf_distance_matrix(neighbor_joining(dm)),
+            "average": dendrogram_to_ultrametric(linkage(dm, "average")),
+        }
+        for method, metric in fitted.items():
+            out = decode_and_score(dm, flipped, method)
+            assert out.loss == lp_cost(metric.reordered(flipped.labels), flipped, 2.0)
+
 
 class TestRunPipeline:
     def test_report_structure_and_gains(self):

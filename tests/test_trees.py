@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import dijkstra
 
-from hyptree.data import random_binary_tree
+from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
+from hyptree.decoders import dendrogram_to_tree, linkage, neighbor_joining
 from hyptree.metrics import DistanceMatrix, four_point_check, lp_cost
 from hyptree.newick import parse_newick, write_newick
 from hyptree.trees import (
     TreeStructureError,
     WeightedTree,
+    _leaf_path_lengths,
     dasgupta_cost,
     design_matrix,
     fit_edge_weights,
@@ -73,6 +77,78 @@ class TestWeightedTree:
     def test_zero_weights_allowed(self):
         t = WeightedTree((0, 1), ((0, 1, 0.0),), {0: "a", 1: "b"})
         assert leaf_distance_matrix(t).values[0, 1] == 0.0
+
+
+def dijkstra_leaf_path_lengths(tree, unit=False):
+    """Reference: one csgraph.dijkstra call from every leaf over the edge list."""
+    leaves = tree.sorted_leaves()
+    pos = {v: k for k, v in enumerate(tree.vertices)}
+    rows = [pos[u] for u, _, _ in tree.edges]
+    cols = [pos[v] for _, v, _ in tree.edges]
+    weights = [1.0 if unit else w for _, _, w in tree.edges]
+    m = len(tree.vertices)
+    graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(m, m), dtype=np.float64)
+    idx = [pos[v] for _, v in leaves]
+    return leaves, dijkstra(graph, directed=False, indices=idx)[:, idx]
+
+
+def caterpillar(n):
+    """Binary caterpillar on n leaves: a spine of n - 2 vertices 100, 101, ...
+    whose two ends carry two leaves each and inner vertices one, listed spine
+    first, so ``vertices[0]`` is internal."""
+    spine = list(range(100, 100 + n - 2))
+    edges = [(u, v, 0.1 * (k + 1)) for k, (u, v) in enumerate(zip(spine, spine[1:]))]
+    edges += [(k, spine[min(max(k - 1, 0), n - 3)], 1.0 / (k + 3)) for k in range(n)]
+    return WeightedTree(tuple(spine) + tuple(range(n)), tuple(edges),
+                        {k: f"c{k:02d}" for k in range(n)})
+
+
+def with_zero_weights(tree, rng, share=0.3):
+    zero = rng.random(len(tree.edges)) < share
+    edges = tuple((u, v, 0.0 if z else w) for (u, v, w), z in zip(tree.edges, zero))
+    return WeightedTree(tree.vertices, edges, dict(tree.leaf_labels), root=tree.root)
+
+
+def leaf_metric_cases():
+    rng = np.random.default_rng(31)
+    cases = [
+        zero_edge_tree(), quartet_tree(), rooted_triplet(), caterpillar(3), caterpillar(17),
+        WeightedTree((0,), (), {0: "a"}),
+        WeightedTree((5, 0), ((0, 5, 0.5),), {0: "a"}),
+        WeightedTree((0, 1), ((0, 1, 0.7),), {0: "a", 1: "b"}),
+        WeightedTree((3, 0, 1, 2), ((0, 3, 0.1), (1, 3, 0.2), (2, 3, 0.3)),
+                     {0: "a", 1: "b", 2: "c"}),
+    ]
+    for n, seed in ((2, 0), (3, 1), (5, 2), (16, 3), (64, 4), (97, 5)):
+        t = random_binary_tree(n, seed)
+        assert t.vertices[0] in t.leaf_labels
+        rooted = midpoint_root(t)
+        assert sum(rooted.root in e[:2] for e in rooted.edges) == 2
+        # The same tree with an internal vertex listed first.
+        cases += [t, rooted, with_zero_weights(t, rng),
+                  WeightedTree(t.vertices[::-1], t.edges, dict(t.leaf_labels))]
+    for n, seed in ((8, 6), (40, 7), (128, 8)):
+        graph = add_noise_edges(random_binary_tree(n, seed), 0.3, seed + 1)
+        nj = neighbor_joining(graph_leaf_shortest_paths(graph))
+        cases += [nj, midpoint_root(nj), with_zero_weights(nj, rng),
+                  dendrogram_to_tree(linkage(graph_leaf_shortest_paths(graph), "average"))]
+    return cases
+
+
+class TestLeafPathLengths:
+    def test_bitwise_matches_dijkstra(self):
+        asymmetric = 0
+        for t in leaf_metric_cases():
+            for unit in (False, True):
+                leaves, dist = _leaf_path_lengths(t, unit=unit)
+                ref_leaves, ref = dijkstra_leaf_path_lengths(t, unit=unit)
+                assert leaves == ref_leaves
+                assert dist.shape == ref.shape and dist.dtype == ref.dtype
+                assert dist.tobytes() == ref.tobytes()
+                asymmetric += not np.array_equal(ref, ref.T)
+        # Some path sums round differently from the two ends, so the cases
+        # also pin down the direction in which each entry is summed.
+        assert asymmetric > 0
 
 
 class TestLeafDistanceMatrix:
