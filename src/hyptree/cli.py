@@ -83,9 +83,8 @@ def _load_input(args) -> DistanceMatrix:
 
 
 #: Flag names of the EncoderConfig fields whose flag is spelled differently.
-#: Every other field except ``seed`` (a per-command option) and
-#: ``init_scheme`` (Python API only) is exposed as ``--<field>``, and every
-#: default comes from EncoderConfig itself.
+#: Every other field except ``seed`` (a per-command option) is exposed as
+#: ``--<field>``, and every default comes from EncoderConfig itself.
 _ENCODER_FLAG_NAMES = {"dimension": "dim", "total_epochs": "epochs"}
 
 
@@ -94,7 +93,7 @@ def _encoder_fields():
     return [
         (f, _ENCODER_FLAG_NAMES.get(f.name, f.name))
         for f in fields(EncoderConfig)
-        if f.name not in ("seed", "init_scheme")
+        if f.name != "seed"
     ]
 
 

@@ -9,7 +9,8 @@ input, which is the denoising effect exploited by the downstream decoders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,9 +38,6 @@ class EncodingError(RuntimeError):
     """Raised when the optimization produces a non-finite loss."""
 
 
-INIT_SCHEMES = ("auto", "tree", "mds", "seriation", "uniform")
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     """Hyperparameters of one denoising run.
@@ -48,14 +46,10 @@ class EncoderConfig:
     ``TARGET_SPREAD``.  Every step uses all pairs.  The learning rate is
     multiplied by ``burnin_factor`` once ``burnin_epochs`` have passed.
 
-    ``init_scheme`` picks the starting configuration: ``tree`` draws the
-    Neighbor Joining tree of the target exactly in the ball, ``mds`` lifts a
-    classical metric-MDS layout through the origin exponential map,
-    ``seriation`` spreads points on a tiny circle in dendrogram leaf order,
-    ``uniform`` samples a tiny uniform ball.  The spread-out schemes avoid
-    the ring-shaped local minima a collapsed start falls into in two
-    dimensions; ``auto`` optimizes from both the tree and the mds starts and
-    keeps the run with the smaller final loss.
+    Every run starts from one layout, ``init_scheme = "mds"``: a classical
+    metric-MDS layout of the target lifted through the origin exponential
+    map, plus a seed-dependent jitter.  Being spread out, it avoids the
+    ring-shaped local minima a collapsed start falls into in two dimensions.
 
     The defaults (four dimensions, curvature 100, one 4000-epoch run from the
     mds start at learning rate 1e-2) were chosen on held-out synthetic
@@ -64,11 +58,11 @@ class EncoderConfig:
     Joining on the input in 15 of 18 cases, and on exact tree metrics they
     fit more closely than two dimensions at learning rate 1e-3 in 14 of 19
     cases.  At learning rate 3e-3 four dimensions fit exact tree metrics
-    worse than two.  The tree start never gave the smaller final loss on the
-    n = 64 ones, so ``auto`` would only double the cost.  Two dimensions
-    underfit noisy input, and a lower curvature fits better but leaves the
-    denoised metric far less tree-like (its delta rises about threefold at
-    c = 10).
+    worse than two.  In all 29 measured runs the mds start also ended at a
+    smaller loss than an exact ball drawing of the target's Neighbor Joining
+    tree.  Two dimensions underfit noisy input, and a lower curvature fits
+    better but leaves the denoised metric far less tree-like (its delta rises
+    about threefold at c = 10).
     """
 
     dimension: int = 4
@@ -79,10 +73,10 @@ class EncoderConfig:
     burnin_factor: float = 10.0
     total_epochs: int = 4000
     scaling_factor: float | None = None
-    init_radius: float = 1e-6
     seed: int = 0
     boundary_margin: float = ball.DEFAULT_MARGIN
-    init_scheme: str = "mds"
+    #: Names the one start for callers that report it; a constant, not a field.
+    init_scheme: ClassVar[str] = "mds"
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -95,14 +89,12 @@ class EncoderConfig:
             raise ValueError("total_epochs must be at least 1")
         if not 0 <= self.burnin_epochs <= self.total_epochs:
             raise ValueError("need total_epochs >= burnin_epochs >= 0")
-        for name in ("learning_rate", "burnin_factor", "init_radius"):
+        for name in ("learning_rate", "burnin_factor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         ball.check_margin(self.boundary_margin, "boundary_margin")
         if self.scaling_factor is not None and self.scaling_factor <= 0.0:
             raise ValueError("scaling_factor must be positive")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}")
 
 
 @dataclass
@@ -249,102 +241,13 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
     ]
 
 
-def _uniform_init(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    r = rng.random(n) ** (1.0 / d)
-    return radius * r[:, None] * g
-
-
-def _seriation_init(values: np.ndarray, n: int, d: int, radius: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Tiny circle with points in average-linkage dendrogram leaf order."""
-    from .decoders import linkage
-    from .metrics import DistanceMatrix
-
-    dend = linkage(DistanceMatrix([str(i) for i in range(n)], values), "average")
-    order: list[int] = []
-    stack = [2 * n - 2] if n > 1 else [0]
-    while stack:
-        cid = stack.pop()
-        if cid < n:
-            order.append(cid)
-        else:
-            a, b, _, _ = dend.merges[cid - n]
-            stack.extend((b, a))
-    angles = np.empty(n)
-    for k, leaf in enumerate(order):
-        angles[leaf] = 2.0 * np.pi * k / n
-    pts = np.zeros((n, d))
-    pts[:, 0] = np.cos(angles)
-    pts[:, 1] = np.sin(angles)
-    if d > 2:
-        pts[:, 2:] = 0.25 * rng.standard_normal((n, d - 2))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return radius * pts
-
-
-def _tree_init(values: np.ndarray, d: int, c: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Exact hyperbolic drawing of a guide tree fitted to the target matrix.
-
-    The guide is the midpoint-rooted Neighbor Joining tree of the target.
-    Vertices are placed recursively: the frame is Mobius-translated so the
-    current vertex sits at the origin, children go at hyperbolic distance
-    equal to their edge weight in evenly spread directions away from the
-    parent, and the frame is translated back.  Left Mobius translation is an
-    isometry, so every edge length is realized exactly; only the angular
-    layout is heuristic.  For d > 2 a small out-of-plane jitter keeps the
-    refinement from being trapped in a 2-plane.
-    """
-    from .decoders import neighbor_joining
-    from .metrics import DistanceMatrix
-    from .trees import midpoint_root
-
-    n = values.shape[0]
-    labels = [f"{i:06d}" for i in range(n)]
-    guide = neighbor_joining(DistanceMatrix(labels, values))
-    guide = midpoint_root(guide) if n >= 2 else guide
-    adj = guide.adjacency()
-    sqrt_c = np.sqrt(c)
-
-    pos: dict[int, np.ndarray] = {guide.root: np.zeros(2)}
-    stack = [(guide.root, None)]
-    while stack:
-        v, parent = stack.pop()
-        kids = [(u, w) for u, w in adj[v] if u != parent]
-        if not kids:
-            continue
-        here = pos[v]
-        if parent is None:
-            base = 0.0
-            sector = 2.0 * np.pi / len(kids)
-        else:
-            rel_parent = ball._mobius_add_raw(-here, pos[parent], c)
-            base = np.arctan2(rel_parent[1], rel_parent[0])
-            sector = 2.0 * np.pi / (len(kids) + 1)
-        for k, (child, w) in enumerate(kids):
-            theta = base + (k + 1) * sector
-            radius = np.tanh(sqrt_c * w / 2.0) / sqrt_c
-            local = radius * np.array([np.cos(theta), np.sin(theta)])
-            pos[child] = ball._mobius_add_raw(here, local, c)
-            stack.append((child, v))
-
-    leaf_for_label = {lbl: vid for vid, lbl in guide.leaf_labels.items()}
-    pts = np.zeros((n, d))
-    for i, lbl in enumerate(labels):
-        pts[i, :2] = pos[leaf_for_label[lbl]]
-    if d > 2:
-        pts[:, 2:] = 1e-4 * rng.standard_normal((n, d - 2)) / np.sqrt(c)
-    return pts
-
-
 def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     """Classical MDS layout lifted through the origin exponential map.
 
     Each point lands at hyperbolic distance equal to its Euclidean MDS radius
     from the origin, preserving MDS directions.  With fewer points than
-    dimensions the layout has n columns, and the rest are zero.
+    dimensions (always so for n < 3) the layout has n columns, and the rest
+    are zero.
     """
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
@@ -363,27 +266,18 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Starting configuration against the already-rescaled target matrix.
 
-    Returns the points and how many of them were clipped to the boundary margin.
+    The mds layout is seed-independent; a small tangent jitter makes different
+    seeds explore genuinely different optimization paths.  Returns the points
+    and how many of them were clipped to the boundary margin.
     """
-    n = target.shape[0]
-    if cfg.init_scheme == "uniform" or n < 3:
-        pts = _uniform_init(rng, n, cfg.dimension, cfg.init_radius)
-    elif cfg.init_scheme == "seriation":
-        pts = _seriation_init(target, n, cfg.dimension, cfg.init_radius, rng)
-    elif cfg.init_scheme == "tree":
-        pts = _tree_init(target, cfg.dimension, cfg.curvature, rng)
-    else:
-        pts = _mds_init(target, cfg.dimension, cfg.curvature)
-    if cfg.init_scheme in ("tree", "mds"):
-        # These layouts are seed-independent; a small tangent jitter makes
-        # different seeds explore genuinely different optimization paths.
-        jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
-        pts = ball.exp_map_points(pts, jitter, cfg.curvature)
+    pts = _mds_init(target, cfg.dimension, cfg.curvature)
+    jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
+    pts = ball.exp_map_points(pts, jitter, cfg.curvature)
     return ball.clip_to_ball(pts, cfg.curvature, cfg.boundary_margin, full_output=True)
 
 
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
-    """Optimize ball points against a dissimilarity matrix.
+    """Optimize ball points against a dissimilarity matrix from the mds start.
 
     The input is rescaled by the (possibly automatic) scaling factor for
     optimization; reported losses are always in original units, i.e. embedded
@@ -396,21 +290,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     per run: it gives that epoch's loss and the next epoch's gradient, and
     its row quantities also serve the Riemannian rescale and the exponential
     map.  Fully deterministic for a given seed.
-
-    With ``init_scheme="auto"`` the optimization runs once from the tree
-    start and once from the mds start, and the result with the smaller final
-    loss is returned.  The default ``mds`` runs only the mds start.
     """
-    if cfg.init_scheme == "auto":
-        candidates = [
-            _train_single(dm, replace(cfg, init_scheme=scheme))
-            for scheme in ("tree", "mds")
-        ]
-        return min(candidates, key=lambda r: r.final_loss)
-    return _train_single(dm, cfg)
-
-
-def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     n = dm.n
     c = cfg.curvature
     rng = np.random.default_rng(cfg.seed)
@@ -476,7 +356,7 @@ def _train_single(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         trace[epoch] = loss
 
     emb = PoincareEmbedding(list(dm.labels), points, c)
-    return EmbeddingResult(emb, float(trace[-1]), trace, replace(cfg), s, rescales, clipped)
+    return EmbeddingResult(emb, float(trace[-1]), trace, cfg, s, rescales, clipped)
 
 
 def denoised_metric(result: EmbeddingResult) -> DistanceMatrix:

@@ -321,11 +321,12 @@ class TestConfigFile:
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text("epochs = 60\npairs-per-step = 3\nlerning_rate = 0.1\n")
+        cfg.write_text(
+            "epochs = 60\npairs-per-step = 3\nlerning_rate = 0.1\ninit-radius = 1e-6\n")
         rc = main(["--config", str(cfg), "delta", "--input", "x"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "pairs_per_step" in err and "lerning_rate" in err
+        assert "pairs_per_step" in err and "lerning_rate" in err and "init_radius" in err
         assert "epochs" not in err
 
 

@@ -1,7 +1,7 @@
 """Encoder checks: loss, gradients, training behavior, exports."""
 
+import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hyptree import ball
 from hyptree import embedding as embedding_module
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.embedding import (
-    INIT_SCHEMES,
     EmbeddingResult,
     EncoderConfig,
     PoincareEmbedding,
@@ -99,9 +98,6 @@ def reference_clip(points, c, margin):
 
 def reference_train(dm, cfg):
     """``(points, loss_trace)`` of the reference loop from the encoder's own start."""
-    if cfg.init_scheme == "auto":
-        runs = [reference_train(dm, replace(cfg, init_scheme=s)) for s in ("tree", "mds")]
-        return min(runs, key=lambda run: run[1][-1])
     c, p = cfg.curvature, cfg.p
     max_d = float(dm.values.max()) if dm.n > 1 else 0.0
     if cfg.scaling_factor is not None:
@@ -160,7 +156,7 @@ class TestEncoderConfig:
             {"learning_rate": 0.0},
             {"scaling_factor": -1.0},
             {"total_epochs": 0},
-            {"init_scheme": "magic"},
+            {"burnin_factor": 0.0},
             {"boundary_margin": 0.0},
             {"boundary_margin": 0.02},
             {"boundary_margin": 1.0},
@@ -170,6 +166,10 @@ class TestEncoderConfig:
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             EncoderConfig(**kw)
+
+    def test_init_scheme_is_a_constant(self):
+        assert EncoderConfig().init_scheme == "mds"
+        assert "init_scheme" not in [f.name for f in dataclasses.fields(EncoderConfig)]
 
 
 class TestEmbeddingLoss:
@@ -328,12 +328,11 @@ class TestTraining:
         span = float(dm.values.max())
         cfg_c = EncoderConfig(
             seed=11, curvature=c, total_epochs=150, burnin_epochs=15,
-            scaling_factor=2.0 / span, learning_rate=1e-3, init_radius=1e-6,
+            scaling_factor=2.0 / span, learning_rate=1e-3,
         )
         cfg_1 = EncoderConfig(
             seed=11, curvature=1.0, total_epochs=150, burnin_epochs=15,
             scaling_factor=rt * 2.0 / span, learning_rate=rt * 1e-3,
-            init_radius=rt * 1e-6,
         )
         res_c = train_embedding(dm, cfg_c)
         res_1 = train_embedding(dm, cfg_1)
@@ -347,7 +346,7 @@ class TestTraining:
         norms = np.sqrt(100.0) * np.linalg.norm(res.embedding.points, axis=1)
         assert np.all(norms < 1.0)
 
-    @pytest.mark.parametrize("n, d", [(3, 4), (4, 8)])
+    @pytest.mark.parametrize("n, d", [(1, 4), (2, 4), (3, 4), (4, 8)])
     def test_mds_start_fills_every_dimension(self, n, d, tmp_path):
         dm = random_dm(np.random.default_rng(65), n)
         res = train_embedding(dm, EncoderConfig(dimension=d, total_epochs=20, burnin_epochs=2))
@@ -355,16 +354,6 @@ class TestTraining:
         assert np.all(res.embedding.points[:, n:] != 0.0)
         write_embedding(res, tmp_path / "emb.txt")
         assert f"dim={d}" in (tmp_path / "emb.txt").read_text().splitlines()[0]
-
-    @pytest.mark.parametrize("scheme", ["uniform", "seriation", "mds", "tree", "auto"])
-    def test_init_schemes_all_train(self, scheme):
-        rng = np.random.default_rng(61)
-        dm = random_dm(rng, 7)
-        cfg = EncoderConfig(
-            seed=0, total_epochs=60, burnin_epochs=6, init_scheme=scheme
-        )
-        res = train_embedding(dm, cfg)
-        assert np.isfinite(res.final_loss)
 
 
 class TestBitwiseReference:
@@ -378,10 +367,9 @@ class TestBitwiseReference:
         cfg = EncoderConfig(dimension=d, p=p, seed=n + d, total_epochs=40, burnin_epochs=4)
         assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
 
-    @pytest.mark.parametrize("scheme", INIT_SCHEMES)
-    def test_every_init_scheme(self, scheme):
+    def test_noisy_tree_metric(self):
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(24, 5), 0.3, 6))
-        cfg = EncoderConfig(init_scheme=scheme, total_epochs=60, burnin_epochs=6)
+        cfg = EncoderConfig(total_epochs=60, burnin_epochs=6)
         assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
 
     def test_saturating_run(self):
