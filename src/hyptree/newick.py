@@ -7,7 +7,7 @@ delimiters are single-quoted with ``''`` escaping.
 
 from __future__ import annotations
 
-from .trees import TreeStructureError, WeightedTree
+from .trees import TreeStructureError, WeightedTree, _walk
 
 _NEEDS_QUOTES = set("()[]{}:;,'\" \t\n")
 
@@ -23,25 +23,26 @@ def write_newick(tree: WeightedTree) -> str:
     if len(tree.vertices) == 1:
         label = tree.leaf_labels.get(tree.vertices[0], "")
         return _format_label(label) + ";"
-    adj = tree.adjacency()
     if tree.root is not None:
         anchor = tree.root
     else:
+        adj = tree.adjacency()
         internal = sorted(v for v in tree.vertices if len(adj[v]) >= 2)
         # Two-leaf trees have no internal vertex; anchor at the smaller label.
         anchor = internal[0] if internal else min(
             tree.leaf_labels, key=tree.leaf_labels.get
         )
-
-    def render(v: int, seen_from: int | None) -> str:
-        kids = [(u, w) for u, w in adj[v] if u != seen_from]
+    # Walking the positions backwards renders every subtree before its
+    # parent and meets each vertex's children in adjacency order.
+    order, up, edge = _walk(tree, anchor)
+    kids: list[list[str]] = [[] for _ in order]
+    for k in range(len(order) - 1, -1, -1):
+        v = order[k]
         label = _format_label(tree.leaf_labels[v]) if v in tree.leaf_labels else ""
-        if not kids:
-            return label
-        inner = ",".join(f"{render(u, v)}:{w!r}" for u, w in kids)
-        return f"({inner}){label}"
-
-    return render(anchor, None) + ";"
+        text = f"({','.join(kids[k])}){label}" if kids[k] else label
+        if k:
+            kids[up[k]].append(f"{text}:{tree.edges[edge[k]][2]!r}")
+    return text + ";"
 
 
 def parse_newick(text: str) -> WeightedTree:
@@ -98,49 +99,42 @@ def parse_newick(text: str) -> WeightedTree:
         except ValueError:
             raise error(f"bad branch length {s[start:pos]!r}") from None
 
-    # Nodes are (label, [(child_node, edge_weight), ...]) tuples.
-    def parse_node():
-        nonlocal pos
-        children = []
-        if peek() == "(":
-            pos += 1
-            while True:
-                child = parse_node()
-                w = parse_length()
-                children.append((child, w))
-                if peek() == ",":
-                    pos += 1
-                    continue
-                if peek() == ")":
-                    pos += 1
-                    break
-                raise error("expected ',' or ')'")
-        label = parse_label()
-        return (label, children)
-
-    top = parse_node()
-    if pos != len(s):
-        raise error("trailing characters")
-
+    # Vertex ids are handed out in text order, which is preorder, and a
+    # child's edge is added once its subtree is complete.
     vertices: list[int] = []
     edges: list[tuple[int, int, float]] = []
     leaf_labels: dict[int, str] = {}
-
-    def build(node) -> int:
-        label, children = node
+    open_ids: list[int] = []  # internal vertices whose ')' is still ahead
+    while True:
         vid = len(vertices)
         vertices.append(vid)
-        for child, w in children:
-            cid = build(child)
-            edges.append((vid, cid, w))
-        if label and not children:
+        if peek() == "(":
+            pos += 1
+            open_ids.append(vid)
+            continue
+        label = parse_label()
+        if label:
             leaf_labels[vid] = label
-        return vid
+        # Attach the finished vertex, and every vertex its ')' finishes.
+        while open_ids:
+            edges.append((open_ids[-1], vid, parse_length()))
+            if peek() == ",":
+                pos += 1
+                break
+            if peek() != ")":
+                raise error("expected ',' or ')'")
+            pos += 1
+            vid = open_ids.pop()
+            label = parse_label()
+        else:
+            break
+    if pos != len(s):
+        raise error("trailing characters")
 
-    root_id = build(top)
+    top_kids = sum(u == 0 for u, _, _ in edges)
     # A labeled single-child top node is the anchored-leaf form used for
     # serializing two-leaf trees.
-    if top[0] and len(top[1]) == 1:
-        leaf_labels[root_id] = top[0]
-    root = root_id if len(top[1]) == 2 else None
+    if label and top_kids == 1:
+        leaf_labels[0] = label
+    root = 0 if top_kids == 2 else None
     return WeightedTree(tuple(vertices), tuple(edges), leaf_labels, root=root)

@@ -1,17 +1,18 @@
 """Weighted trees over labeled leaves and the operations the pipeline needs.
 
 Covers leaf-to-leaf metrics, LCA and clan sizes, the Dasgupta cost, the
-pair-by-edge path-incidence matrix with nonnegative least-squares weight
+pair-by-edge path-incidence matrix, nonnegative least-squares weight
 fitting, midpoint rooting, root trimming, and a unit-edge tree-to-tree
-distance for topology comparisons.  Leaf metrics need no graph search: a
-tree has one path between two vertices, so two propagation passes over its
-vertices give every leaf-to-leaf path length.
+distance for topology comparisons.  Every operation makes one preorder walk
+(``_walk``), in which each subtree's labeled leaves take one contiguous range
+of columns.  Leaf metrics are two propagation passes over it; the weight
+refit builds its normal equations from subtree leaf counts in O(|E|^2)
+memory, without the pair-by-edge matrix.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +60,7 @@ class WeightedTree:
                 raise TreeStructureError(f"edge ({u}, {v}) has invalid weight {w}")
             deg[u] += 1
             deg[v] += 1
-        if self.vertices and not self._connected():
+        if len(_walk(self, self.vertices[0])[0]) != len(self.vertices):
             raise TreeStructureError("edge list is disconnected")
         labels = list(self.leaf_labels.values())
         if len(set(labels)) != len(labels):
@@ -71,18 +72,6 @@ class WeightedTree:
                 raise TreeStructureError(f"labeled vertex {v} is not a leaf")
         if self.root is not None and self.root not in vs:
             raise TreeStructureError(f"root {self.root} does not exist")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.vertices)
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
@@ -109,54 +98,96 @@ class DesignMatrix:
     matrix: np.ndarray
 
 
-def _leaf_path_lengths(tree: WeightedTree, unit: bool = False):
-    """Labeled leaves in label order and their leaf-to-leaf path lengths.
+def _walk(tree: WeightedTree, start: int) -> tuple[list[int], list[int], list[int]]:
+    """Preorder walk from ``start``: per position, the vertex, its parent's
+    position and its parent edge's index (-1 and -1 at the start).
 
-    The tree is rooted at ``vertices[0]`` and walked in preorder, so the
-    labeled leaves of every subtree take one contiguous range of source
-    columns.  Row v of a |V| x n_leaves array holds the path length from
-    every source leaf to v.  A bottom-up pass fills the sources inside each
-    subtree (row parent(v) = row v + w), then a top-down pass fills the
-    sources outside it (row v = row parent(v) + w).  Each entry is thus
-    summed edge by edge outward from its source leaf, as Dijkstra's
-    relaxation sums it, so entry (i, j) may differ from (j, i) in the last
-    bit.  With ``unit=True`` every edge counts 1 regardless of its weight.
+    Popping a vertex pushes its children in adjacency order, so every subtree
+    is popped as one contiguous range of positions after its root, children
+    in reverse adjacency order.  Unreachable vertices are left out.
     """
-    leaves = tree.sorted_leaves()
-    adj = tree.adjacency()
-    # Popping a vertex pushes its children, so its whole subtree is popped
-    # before anything below it on the stack: the pop order is a preorder.
-    # Per position k in it: the parent's position, the weight of the edge to
-    # the parent, and lo[k], the first source column in the subtree.
-    up, weight, lo, at = [], [], [], {}
-    seen = {tree.vertices[0]}
-    stack = [(tree.vertices[0], -1, 0.0)]
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in tree.vertices}
+    for e, (u, v, _) in enumerate(tree.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    order, up, edge = [], [], []
+    seen = {start}
+    stack = [(start, -1, -1)]
     while stack:
-        u, p, w = stack.pop()
-        k = len(up)
+        u, p, e = stack.pop()
+        k = len(order)
+        order.append(u)
         up.append(p)
-        weight.append(1.0 if unit else w)
-        lo.append(len(at))
-        if u in tree.leaf_labels:
-            at[u] = k
-        for v, wv in adj[u]:
+        edge.append(e)
+        for v, f in adj[u]:
             if v not in seen:
                 seen.add(v)
-                stack.append((v, k, wv))
-    m = len(up)
-    dist = np.empty((m, len(at)))
-    for k in at.values():
-        dist[k, lo[k]] = 0.0
-    # hi[k], one past the last source column in the subtree, is final once
-    # every later position (all of k's descendants) has been visited.
-    hi = lo[1:] + [len(at)]
-    for k in range(m - 1, 0, -1):
-        np.add(dist[k, lo[k] : hi[k]], weight[k], out=dist[up[k], lo[k] : hi[k]])
+                stack.append((v, k, f))
+    return order, up, edge
+
+
+def _leaf_ranges(tree: WeightedTree, order: list[int], up: list[int]):
+    """Per walk position, the leaf columns [lo, hi) of its subtree; labeled
+    leaves are numbered in walk order, so a labeled vertex has column lo[k]."""
+    lo, count = [], 0
+    for v in order:
+        lo.append(count)
+        count += v in tree.leaf_labels
+    # hi[k] is final once every later position (all of k's descendants) is.
+    hi = lo[1:] + [count]
+    for k in range(len(order) - 1, 0, -1):
         hi[up[k]] = max(hi[up[k]], hi[k])
-    for k in range(1, m):
+    return lo, hi
+
+
+def _leaf_columns(leaves, order: list[int], lo: list[int]) -> list[int]:
+    """The walk's leaf column of each (label, vertex) pair in ``leaves``."""
+    pos = {v: k for k, v in enumerate(order)}
+    return [lo[pos[v]] for _, v in leaves]
+
+
+def _path(up: list[int], a: int, b: int) -> list[int]:
+    """Walk positions on the tree path from position a to position b.  The
+    later end is never the other's ancestor, so it climbs; the lowest common
+    ancestor is the path's smallest position."""
+    head, tail = [a], [b]
+    while a != b:
+        if a > b:
+            a = up[a]
+            head.append(a)
+        else:
+            b = up[b]
+            tail.append(b)
+    return head + tail[-2::-1]
+
+
+def _leaf_path_lengths(tree: WeightedTree, unit: bool = False, walk=None):
+    """Labeled leaves in label order and their leaf-to-leaf path lengths.
+
+    ``walk`` is the ``_walk`` from ``vertices[0]``, made here if not given.
+    Row k of a |V| x n_leaves array holds the path length from every source
+    leaf column to the vertex at walk position k.  A bottom-up pass fills the
+    sources inside each subtree (row parent(k) = row k + w), then a top-down
+    pass fills the sources outside it (row k = row parent(k) + w).  Each
+    entry is thus summed edge by edge outward from its source leaf, as
+    Dijkstra's relaxation sums it, so entry (i, j) may differ from (j, i) in
+    the last bit.  With ``unit=True`` every edge counts 1 regardless of its
+    weight.
+    """
+    leaves = tree.sorted_leaves()
+    order, up, edge = walk or _walk(tree, tree.vertices[0])
+    lo, hi = _leaf_ranges(tree, order, up)
+    weight = [0.0] + [1.0 if unit else tree.edges[e][2] for e in edge[1:]]
+    pos = {v: k for k, v in enumerate(order)}
+    rows = [pos[v] for _, v in leaves]
+    dist = np.empty((len(order), len(leaves)))
+    for k in rows:
+        dist[k, lo[k]] = 0.0
+    for k in range(len(order) - 1, 0, -1):
+        np.add(dist[k, lo[k] : hi[k]], weight[k], out=dist[up[k], lo[k] : hi[k]])
+    for k in range(1, len(order)):
         np.add(dist[up[k], : lo[k]], weight[k], out=dist[k, : lo[k]])
         np.add(dist[up[k], hi[k] :], weight[k], out=dist[k, hi[k] :])
-    rows = [at[v] for _, v in leaves]
     return leaves, np.ascontiguousarray(dist[np.ix_(rows, [lo[k] for k in rows])].T)
 
 
@@ -172,45 +203,15 @@ def _symmetrised(leaves, dist) -> DistanceMatrix:
     return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
 
 
-def _orient(tree: WeightedTree, root: int):
-    """Parent pointers, parent edge index, and depth for every vertex."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in tree.vertices}
-    for k, (u, v, _) in enumerate(tree.edges):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    parent = {root: None}
-    parent_edge = {root: None}
-    depth = {root: 0}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, k in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                parent_edge[v] = k
-                depth[v] = depth[u] + 1
-                order.append(v)
-                queue.append(v)
-    return parent, parent_edge, depth, order
-
-
 def lca(tree: WeightedTree, i: int, j: int) -> int:
     """Lowest common ancestor of two vertices in a rooted tree."""
     if tree.root is None:
         raise ValueError("tree has no root; use midpoint_root first")
     if i not in set(tree.vertices) or j not in set(tree.vertices):
         raise ValueError(f"unknown vertex in lca query ({i}, {j})")
-    parent, _, depth, _ = _orient(tree, tree.root)
-    a, b = i, j
-    while depth[a] > depth[b]:
-        a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-    return a
+    order, up, _ = _walk(tree, tree.root)
+    pos = {v: k for k, v in enumerate(order)}
+    return order[min(_path(up, pos[i], pos[j]))]
 
 
 def lca_clan_sizes(tree: WeightedTree) -> DistanceMatrix:
@@ -221,34 +222,23 @@ def lca_clan_sizes(tree: WeightedTree) -> DistanceMatrix:
     if tree.root is None:
         raise ValueError("clan sizes need a rooted tree")
     leaves = tree.sorted_leaves()
-    labels = [lbl for lbl, _ in leaves]
-    leaf_pos = {v: i for i, (_, v) in enumerate(leaves)}
+    order, up, _ = _walk(tree, tree.root)
+    lo, hi = _leaf_ranges(tree, order, up)
     n = len(leaves)
     vals = np.zeros((n, n))
-    parent, _, _, order = _orient(tree, tree.root)
-    # Post-order accumulation of the leaf set below each vertex; pairs split
-    # across two child subtrees meet exactly at that vertex.
-    below: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    children: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for v in order:
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    for v in reversed(order):
-        groups = [below[c] for c in children[v]]
-        if v in leaf_pos:
-            groups.append([leaf_pos[v]])
-        merged: list[int] = []
-        for g in groups:
-            merged.extend(g)
-        clan = len(merged)
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for x in groups[a]:
-                    for y in groups[b]:
-                        vals[x, y] = clan
-                        vals[y, x] = clan
-        below[v] = merged
-    return DistanceMatrix(labels, vals)
+    # A pair meets at vertex p when its leaves lie in different blocks of p's
+    # range: p's own column if it is labeled, and each child's range.  Each
+    # block's rows get p's size in the rest of p's range, so every entry is
+    # written once.
+    for k, v in enumerate(order):
+        if v in tree.leaf_labels:
+            vals[lo[k], lo[k] + 1 : hi[k]] = hi[k] - lo[k]
+        if k:
+            p = up[k]
+            vals[lo[k] : hi[k], lo[p] : lo[k]] = hi[p] - lo[p]
+            vals[lo[k] : hi[k], hi[k] : hi[p]] = hi[p] - lo[p]
+    cols = _leaf_columns(leaves, order, lo)
+    return DistanceMatrix([lbl for lbl, _ in leaves], vals[np.ix_(cols, cols)])
 
 
 def dasgupta_cost(tree: WeightedTree, dm: DistanceMatrix) -> float:
@@ -266,52 +256,27 @@ def dasgupta_cost(tree: WeightedTree, dm: DistanceMatrix) -> float:
     return float(np.sum(clans.pair_vector() * target.pair_vector()))
 
 
+def _edge_ranges(tree: WeightedTree, leaves):
+    """Leaf columns of every labeled leaf and, per edge, the column range
+    [lo, hi) of its far side, as seen from ``vertices[0]``."""
+    order, up, edge = _walk(tree, tree.vertices[0])
+    lo, hi = _leaf_ranges(tree, order, up)
+    far_lo, far_hi = np.zeros(len(tree.edges), int), np.zeros(len(tree.edges), int)
+    far_lo[edge[1:]] = lo[1:]
+    far_hi[edge[1:]] = hi[1:]
+    return np.array(_leaf_columns(leaves, order, lo), dtype=int), far_lo, far_hi
+
+
 def design_matrix(tree: WeightedTree) -> DesignMatrix:
     """0/1 incidence of edges on leaf-to-leaf paths, so that A @ w = d_T."""
     leaves = tree.sorted_leaves()
-    n = len(leaves)
-    anchor = tree.vertices[0]
-    parent, parent_edge, depth, _ = _orient(tree, anchor)
-    n_edges = len(tree.edges)
-
-    def path_edges(a: int, b: int) -> list[int]:
-        out = []
-        while depth[a] > depth[b]:
-            out.append(parent_edge[a])
-            a = parent[a]
-        tail = []
-        while depth[b] > depth[a]:
-            tail.append(parent_edge[b])
-            b = parent[b]
-        while a != b:
-            out.append(parent_edge[a])
-            tail.append(parent_edge[b])
-            a = parent[a]
-            b = parent[b]
-        return out + tail[::-1]
-
-    pairs = []
-    rows = np.zeros((n * (n - 1) // 2, n_edges))
-    r = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((leaves[i][0], leaves[j][0]))
-            rows[r, path_edges(leaves[i][1], leaves[j][1])] = 1.0
-            r += 1
-    return DesignMatrix(tuple(pairs), tuple((u, v) for u, v, _ in tree.edges), rows)
-
-
-def _projected_gradient_nnls(A: np.ndarray, b: np.ndarray, iters: int = 20000) -> np.ndarray:
-    """Slow but dependable fallback: projected gradient on ||Aw - b||^2, w >= 0."""
-    step = 1.0 / max(float(np.linalg.norm(A, 2)) ** 2, 1e-30)
-    w = np.zeros(A.shape[1])
-    for _ in range(iters):
-        g = A.T @ (A @ w - b)
-        w_new = np.clip(w - step * g, 0.0, None)
-        if np.max(np.abs(w_new - w)) < 1e-14:
-            return w_new
-        w = w_new
-    return w
+    cols, far_lo, far_hi = _edge_ranges(tree, leaves)
+    # An edge is on a pair's path iff exactly one of the two leaves is beyond it.
+    beyond = (far_lo <= cols[:, None]) & (cols[:, None] < far_hi)
+    iu, ju = np.triu_indices(len(leaves), 1)
+    pairs = tuple((leaves[i][0], leaves[j][0]) for i, j in zip(iu, ju))
+    ends = tuple((u, v) for u, v, _ in tree.edges)
+    return DesignMatrix(pairs, ends, (beyond[iu] != beyond[ju]).astype(np.float64))
 
 
 def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix, p: float = 2.0) -> WeightedTree:
@@ -319,20 +284,42 @@ def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix, p: float = 2.0) -> 
 
     Only p = 2 is implemented (nonnegative least squares); the objective is
     convex in w, so the solver's optimum never exceeds the input weights' cost.
+    A is never built, so memory is O(|E|^2).  With s_e leaves beyond edge e,
+    entry (e, f) of A^T A is s_e (n - s_f) if e's far side lies inside f's and
+    s_e s_f if the two are disjoint; entry e of A^T d sums d across e's cut,
+    from one 2-D prefix sum.  NNLS runs on an eigh square root of A^T A: the
+    same objective up to a constant, also where A^T A is singular (degree-2
+    vertices).  A solver failure propagates.
     """
     if p != 2.0:
         raise NotImplementedError("edge-weight fitting is implemented for p = 2 only")
-    design = design_matrix(tree)
-    tree_labels = [lbl for lbl, _ in tree.sorted_leaves()]
+    leaves = tree.sorted_leaves()
+    tree_labels = [lbl for lbl, _ in leaves]
     if sorted(dm.labels) != tree_labels:
         raise ValueError("matrix labels do not match the topology's leaves")
+    n = len(leaves)
+    if n < 2:
+        raise ValueError("edge-weight fitting needs at least two labeled leaves")
     target = dm.reordered(tree_labels) if dm.labels != tree_labels else dm
-    b = target.pair_vector()
-    try:
-        w, _ = scipy.optimize.nnls(design.matrix, b)
-    except RuntimeError:
-        w = _projected_gradient_nnls(design.matrix, b)
-    w = np.clip(w, 0.0, None)
+    cols, lo, hi = _edge_ranges(tree, leaves)
+    # d over unordered pairs as pair_vector() reads it, in leaf-column order.
+    upper = np.triu(target.values, 1)
+    d = np.zeros((n, n))
+    d[np.ix_(cols, cols)] = upper + upper.T
+    prefix = np.zeros((n + 1, n + 1))
+    prefix[1:, 1:] = d.cumsum(axis=0).cumsum(axis=1)
+    across = (prefix[hi, n] - prefix[lo, n]) - (
+        prefix[hi, hi] - prefix[lo, hi] - prefix[hi, lo] + prefix[lo, lo]
+    )
+    s = (hi - lo).astype(np.float64)
+    inside = (lo[:, None] >= lo) & (hi[:, None] <= hi)
+    gram = np.where(inside, s[:, None] * (n - s),
+                    np.where(inside.T, s * (n - s[:, None]), s[:, None] * s))
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam[-1] * len(lam) * np.finfo(np.float64).eps
+    root = np.sqrt(lam[keep])
+    basis = vec[:, keep].T
+    w, _ = scipy.optimize.nnls(root[:, None] * basis, (basis @ across) / root)
     new_edges = tuple((u, v, float(wk)) for (u, v, _), wk in zip(tree.edges, w))
     return replace(tree, edges=new_edges, leaf_labels=dict(tree.leaf_labels))
 
@@ -362,7 +349,8 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
     wins.  If the midpoint falls exactly on a vertex that vertex becomes the
     root; otherwise the straddling edge is split in two.
     """
-    return _root_at_midpoint(tree, *_leaf_path_lengths(tree))
+    walk = _walk(tree, tree.vertices[0])
+    return _root_at_midpoint(tree, walk, *_leaf_path_lengths(tree, walk=walk))
 
 
 def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, DistanceMatrix]:
@@ -373,12 +361,14 @@ def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, Distance
     the rooted tree's metric; splitting an edge can change the latter's path
     sums in the last bit.
     """
-    leaves, dist = _leaf_path_lengths(tree)
-    return _root_at_midpoint(tree, leaves, dist), _symmetrised(leaves, dist)
+    walk = _walk(tree, tree.vertices[0])
+    leaves, dist = _leaf_path_lengths(tree, walk=walk)
+    return _root_at_midpoint(tree, walk, leaves, dist), _symmetrised(leaves, dist)
 
 
-def _root_at_midpoint(tree: WeightedTree, leaves, dist: np.ndarray) -> WeightedTree:
-    """Midpoint rooting given the raw (unsymmetrised) leaf path lengths."""
+def _root_at_midpoint(tree: WeightedTree, walk, leaves, dist: np.ndarray) -> WeightedTree:
+    """Midpoint rooting given the walk and the raw (unsymmetrised) leaf path
+    lengths that ``_leaf_path_lengths`` made from it."""
     if tree.root is not None:
         raise ValueError("tree is already rooted; trim_root it first")
     if tree.n_leaves < 2:
@@ -390,37 +380,31 @@ def _root_at_midpoint(tree: WeightedTree, leaves, dist: np.ndarray) -> WeightedT
     iu, ju = np.triu_indices(len(leaves), 1)
     k = int(np.argmax(dist[iu, ju]))
     total = float(dist[iu[k], ju[k]])
-    va, vb = leaves[iu[k]][1], leaves[ju[k]][1]
-
-    # Path from va to vb as alternating vertices/edges.
-    anchor = va
-    parent, parent_edge, depth, _ = _orient(tree, anchor)
-    path_vertices = [vb]
-    v = vb
-    while v != va:
-        v = parent[v]
-        path_vertices.append(v)
-    path_vertices.reverse()  # va ... vb
+    order, up, edge = walk
+    pos = {v: i for i, v in enumerate(order)}
+    path = _path(up, pos[leaves[iu[k]][1]], pos[leaves[ju[k]][1]])
+    vb = order[path[-1]]
 
     target = total / 2.0
     acc = 0.0
     new_root = max(tree.vertices) + 1
-    adj = {u: {w: wt for w, wt in nbrs} for u, nbrs in tree.adjacency().items()}
-    for a, b in zip(path_vertices, path_vertices[1:]):
-        w = adj[a][b]
+    for i, j in zip(path, path[1:]):
+        # The later position is the child, whose parent edge joins the two.
+        e = edge[max(i, j)]
+        a, b, w = order[i], order[j], tree.edges[e][2]
         if acc == target:
             return replace(tree, leaf_labels=dict(tree.leaf_labels), root=a)
         if acc + w > target or (acc + w == target and b == vb):
             off = target - acc
-            edges = tuple(
-                e for e in tree.edges if {e[0], e[1]} != {a, b}
-            ) + ((a, new_root, off), (new_root, b, w - off))
+            edges = tree.edges[:e] + tree.edges[e + 1 :] + (
+                (a, new_root, off), (new_root, b, w - off)
+            )
             return WeightedTree(
                 tree.vertices + (new_root,), edges, dict(tree.leaf_labels), root=new_root
             )
         acc += w
     # Midpoint coincides with the far endpoint only if total == 0.
-    return replace(tree, leaf_labels=dict(tree.leaf_labels), root=path_vertices[-1])
+    return replace(tree, leaf_labels=dict(tree.leaf_labels), root=vb)
 
 
 def tree_distance(t1: WeightedTree, t2: WeightedTree) -> float:
@@ -430,6 +414,8 @@ def tree_distance(t1: WeightedTree, t2: WeightedTree) -> float:
     if labels1 != labels2:
         raise ValueError("trees are labeled over different leaf sets")
     n = len(labels1)
+    if n < 2:
+        raise ValueError("tree distance needs at least two leaves")
     d1 = leaf_distance_matrix(t1, unit=True).pair_vector()
     d2 = leaf_distance_matrix(t2, unit=True).pair_vector()
     return float(2.0 / (n * (n - 1)) * np.linalg.norm(d1 - d2))

@@ -1,15 +1,21 @@
 """Tree structure, metric, fitting, and rooting checks."""
 
+import tracemalloc
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 from scipy.sparse.csgraph import dijkstra
 
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.decoders import dendrogram_to_tree, linkage, neighbor_joining
 from hyptree.metrics import DistanceMatrix, four_point_check, lp_cost
-from hyptree.newick import parse_newick, write_newick
+from hyptree.newick import _format_label, parse_newick, write_newick
 from hyptree.trees import (
+    DesignMatrix,
     TreeStructureError,
     WeightedTree,
     _leaf_path_lengths,
@@ -92,11 +98,11 @@ def dijkstra_leaf_path_lengths(tree, unit=False):
     return leaves, dijkstra(graph, directed=False, indices=idx)[:, idx]
 
 
-def caterpillar(n):
-    """Binary caterpillar on n leaves: a spine of n - 2 vertices 100, 101, ...
-    whose two ends carry two leaves each and inner vertices one, listed spine
-    first, so ``vertices[0]`` is internal."""
-    spine = list(range(100, 100 + n - 2))
+def caterpillar(n, first=100):
+    """Binary caterpillar on n leaves: a spine of n - 2 vertices first,
+    first + 1, ... whose two ends carry two leaves each and inner vertices one,
+    listed spine first, so ``vertices[0]`` is internal."""
+    spine = list(range(first, first + n - 2))
     edges = [(u, v, 0.1 * (k + 1)) for k, (u, v) in enumerate(zip(spine, spine[1:]))]
     edges += [(k, spine[min(max(k - 1, 0), n - 3)], 1.0 / (k + 3)) for k in range(n)]
     return WeightedTree(tuple(spine) + tuple(range(n)), tuple(edges),
@@ -149,6 +155,203 @@ class TestLeafPathLengths:
         # Some path sums round differently from the two ends, so the cases
         # also pin down the direction in which each entry is summed.
         assert asymmetric > 0
+
+
+def reference_orient(tree, root):
+    """Reference: BFS parent pointers, parent edge index, depth and order."""
+    adj = {v: [] for v in tree.vertices}
+    for k, (u, v, _) in enumerate(tree.edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    parent, parent_edge, depth, order = {root: None}, {root: None}, {root: 0}, [root]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, k in adj[u]:
+            if v not in parent:
+                parent[v], parent_edge[v], depth[v] = u, k, depth[u] + 1
+                order.append(v)
+                queue.append(v)
+    return parent, parent_edge, depth, order
+
+
+def reference_lca(tree, i, j):
+    """Reference: climb parent pointers, deeper vertex first."""
+    parent, _, depth, _ = reference_orient(tree, tree.root)
+    a, b = i, j
+    while depth[a] > depth[b]:
+        a = parent[a]
+    while depth[b] > depth[a]:
+        b = parent[b]
+    while a != b:
+        a, b = parent[a], parent[b]
+    return a
+
+
+def reference_lca_clan_sizes(tree):
+    """Reference: merge leaf groups bottom-up and fill every cross-group pair."""
+    leaves = tree.sorted_leaves()
+    leaf_pos = {v: i for i, (_, v) in enumerate(leaves)}
+    vals = np.zeros((len(leaves), len(leaves)))
+    parent, _, _, order = reference_orient(tree, tree.root)
+    below = {v: [] for v in tree.vertices}
+    children = {v: [] for v in tree.vertices}
+    for v in order:
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    for v in reversed(order):
+        groups = [below[c] for c in children[v]]
+        if v in leaf_pos:
+            groups.append([leaf_pos[v]])
+        merged = [x for g in groups for x in g]
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                for x in groups[a]:
+                    for y in groups[b]:
+                        vals[x, y] = vals[y, x] = len(merged)
+        below[v] = merged
+    return DistanceMatrix([lbl for lbl, _ in leaves], vals)
+
+
+def reference_design_matrix(tree):
+    """Reference: climb each pair's path edge by edge."""
+    leaves = tree.sorted_leaves()
+    n = len(leaves)
+    parent, parent_edge, depth, _ = reference_orient(tree, tree.vertices[0])
+
+    def path_edges(a, b):
+        out, tail = [], []
+        while depth[a] > depth[b]:
+            out.append(parent_edge[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            tail.append(parent_edge[b])
+            b = parent[b]
+        while a != b:
+            out.append(parent_edge[a])
+            tail.append(parent_edge[b])
+            a, b = parent[a], parent[b]
+        return out + tail[::-1]
+
+    pairs, rows = [], np.zeros((n * (n - 1) // 2, len(tree.edges)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[len(pairs), path_edges(leaves[i][1], leaves[j][1])] = 1.0
+            pairs.append((leaves[i][0], leaves[j][0]))
+    return DesignMatrix(tuple(pairs), tuple((u, v) for u, v, _ in tree.edges), rows)
+
+
+def reference_midpoint_root(tree):
+    """Reference: walk the diameter path from its first leaf, splitting the
+    straddling edge, from the Dijkstra leaf path lengths."""
+    leaves, dist = dijkstra_leaf_path_lengths(tree)
+    iu, ju = np.triu_indices(len(leaves), 1)
+    k = int(np.argmax(dist[iu, ju]))
+    total = float(dist[iu[k], ju[k]])
+    va, vb = leaves[iu[k]][1], leaves[ju[k]][1]
+    parent, _, _, _ = reference_orient(tree, va)
+    path = [vb]
+    while path[-1] != va:
+        path.append(parent[path[-1]])
+    path.reverse()
+    target, acc, new_root = total / 2.0, 0.0, max(tree.vertices) + 1
+    adj = {u: dict(nbrs) for u, nbrs in tree.adjacency().items()}
+    for a, b in zip(path, path[1:]):
+        w = adj[a][b]
+        if acc == target:
+            return replace(tree, leaf_labels=dict(tree.leaf_labels), root=a)
+        if acc + w > target or (acc + w == target and b == vb):
+            off = target - acc
+            edges = tuple(e for e in tree.edges if {e[0], e[1]} != {a, b})
+            edges += ((a, new_root, off), (new_root, b, w - off))
+            return WeightedTree(tree.vertices + (new_root,), edges,
+                                dict(tree.leaf_labels), root=new_root)
+        acc += w
+    return replace(tree, leaf_labels=dict(tree.leaf_labels), root=path[-1])
+
+
+def reference_write_newick(tree):
+    """Reference: render each subtree recursively, children in adjacency order."""
+    if len(tree.vertices) == 1:
+        return _format_label(tree.leaf_labels.get(tree.vertices[0], "")) + ";"
+    adj = tree.adjacency()
+    anchor = tree.root
+    if anchor is None:
+        internal = sorted(v for v in tree.vertices if len(adj[v]) >= 2)
+        anchor = internal[0] if internal else min(tree.leaf_labels, key=tree.leaf_labels.get)
+
+    def render(v, seen_from):
+        kids = [(u, w) for u, w in adj[v] if u != seen_from]
+        label = _format_label(tree.leaf_labels[v]) if v in tree.leaf_labels else ""
+        if not kids:
+            return label
+        return "(" + ",".join(f"{render(u, v)}:{w!r}" for u, w in kids) + ")" + label
+
+    return render(anchor, None) + ";"
+
+
+def walk_reference_cases():
+    """The leaf-metric cases plus random binary trees with n = 2 ... 40,
+    single-linkage trees, a multifurcating parsed tree with zero-weight edges,
+    and the midpoint root of every unrooted tree with two or more leaves."""
+    cases = leaf_metric_cases() + [caterpillar(40)]
+    cases += [random_binary_tree(n, 100 + n) for n in range(2, 41)]
+    for n, seed in ((6, 40), (33, 41)):
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(n, seed), 0.3, seed))
+        cases += [dendrogram_to_tree(linkage(dm, m)) for m in ("single", "average")]
+    cases.append(parse_newick("((a:1,b:0,(c:2,d:0.5,e:1):0)x:3,f:1,(g:0,h:1):2);"))
+    # All weights zero: the midpoint root is a labeled leaf.
+    flat = random_binary_tree(6, 42)
+    cases += [WeightedTree((0, 1), ((0, 1, 0.0),), {0: "a", 1: "b"}),
+              WeightedTree(flat.vertices, tuple((u, v, 0.0) for u, v, _ in flat.edges),
+                           dict(flat.leaf_labels))]
+    return cases + [
+        midpoint_root(t) for t in cases if t.root is None and t.n_leaves >= 2
+    ]
+
+
+class TestWalkMatchesReference:
+    """Every operation built on the one preorder walk gives bit-for-bit the
+    output of the reference traversals above."""
+
+    def test_design_matrix(self):
+        for t in walk_reference_cases():
+            got, ref = design_matrix(t), reference_design_matrix(t)
+            assert (got.pairs, got.edge_ends) == (ref.pairs, ref.edge_ends)
+            assert got.matrix.shape == ref.matrix.shape
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+
+    def test_midpoint_root(self):
+        cases = [t for t in walk_reference_cases() if t.root is None and t.n_leaves >= 2]
+        assert len(cases) > 60
+        for t in cases:
+            got, ref = midpoint_root(t), reference_midpoint_root(t)
+            assert (got.vertices, got.edges, got.root) == (ref.vertices, ref.edges, ref.root)
+
+    def test_clan_sizes_and_lca(self):
+        rng = np.random.default_rng(25)
+        rooted = [t for t in walk_reference_cases() if t.root is not None]
+        assert len(rooted) > 80
+        for t in rooted:
+            got, ref = lca_clan_sizes(t), reference_lca_clan_sizes(t)
+            assert got.labels == ref.labels
+            assert got.values.tobytes() == ref.values.tobytes()
+            for i, j in rng.choice(t.vertices, (20, 2)):
+                assert lca(t, int(i), int(j)) == reference_lca(t, int(i), int(j))
+
+    def test_write_newick(self):
+        for t in walk_reference_cases():
+            assert write_newick(t) == reference_write_newick(t)
+
+    def test_parse_newick_ids_and_edge_order(self):
+        # Vertex ids in text order (preorder); a child's edge follows its
+        # subtree's edges; internal labels are dropped.
+        t = parse_newick("((a:1,b:2)x:3,c:4,(d:5)e:6);")
+        assert t.vertices == (0, 1, 2, 3, 4, 5, 6)
+        assert t.edges == ((1, 2, 1.0), (1, 3, 2.0), (0, 1, 3.0), (0, 4, 4.0),
+                           (5, 6, 5.0), (0, 5, 6.0))
+        assert t.leaf_labels == {2: "a", 3: "b", 4: "c", 6: "d"}
+        assert t.root is None
 
 
 class TestLeafDistanceMatrix:
@@ -339,13 +542,15 @@ class TestFitEdgeWeights:
             dm = leaf_distance_matrix(t)
             bump = 0.2 * np.triu(rng.standard_normal(dm.values.shape), 1)
             noisy = DistanceMatrix(dm.labels, np.abs(dm.values + bump + bump.T))
-            fitted = fit_edge_weights(t, noisy)
-            d = design_matrix(t)
-            target = noisy.reordered([lbl for lbl, _ in t.sorted_leaves()]).pair_vector()
-            w_oracle = projected_gradient_oracle(d.matrix, target)
-            obj = np.linalg.norm(d.matrix @ np.array([e[2] for e in fitted.edges]) - target)
-            obj_oracle = np.linalg.norm(d.matrix @ w_oracle - target)
-            assert obj <= obj_oracle + 1e-6
+            # A degree-2 root makes A^T A singular: its two edges share every path.
+            for tree in (t, midpoint_root(t), dendrogram_to_tree(linkage(noisy, "average"))):
+                fitted = fit_edge_weights(tree, noisy)
+                d = design_matrix(tree)
+                target = noisy.reordered([lbl for lbl, _ in tree.sorted_leaves()]).pair_vector()
+                w_oracle = projected_gradient_oracle(d.matrix, target)
+                obj = np.linalg.norm(d.matrix @ np.array([e[2] for e in fitted.edges]) - target)
+                obj_oracle = np.linalg.norm(d.matrix @ w_oracle - target)
+                assert obj <= obj_oracle + 1e-6
 
     def test_never_negative_never_worse_than_zero(self):
         rng = np.random.default_rng(23)
@@ -363,6 +568,75 @@ class TestFitEdgeWeights:
         t = random_binary_tree(5, 1)
         with pytest.raises(NotImplementedError):
             fit_edge_weights(t, leaf_distance_matrix(t), p=1.0)
+
+
+class TestFitEdgeWeightsAtScale:
+    @staticmethod
+    def noisy_case(n, seed):
+        t = random_binary_tree(n, seed)
+        return t, graph_leaf_shortest_paths(add_noise_edges(t, 0.3, seed + 1))
+
+    def test_objective_matches_dense_nnls(self):
+        t, dm = self.noisy_case(64, 5)
+        for tree in (t, midpoint_root(t), neighbor_joining(dm)):
+            a = design_matrix(tree).matrix
+            d = dm.reordered([lbl for lbl, _ in tree.sorted_leaves()]).pair_vector()
+            w = np.array([e[2] for e in fit_edge_weights(tree, dm).edges])
+            dense = scipy.optimize.nnls(a, d)[1]
+            assert abs(np.linalg.norm(a @ w - d) - dense) <= 1e-9 * (1 + np.linalg.norm(d))
+
+    def test_memory_without_pair_by_edge_matrix(self):
+        # The dense 32640 x 509 design matrix alone would take 127 MiB.
+        t, dm = self.noisy_case(256, 7)
+        tracemalloc.start()
+        try:
+            fit_edge_weights(t, dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_edges_on_no_leaf_path_get_zero_weight(self):
+        # Vertex 9 is an unlabeled leaf; listed first, its edge separates all
+        # leaves from none.
+        dm = DistanceMatrix(["a", "b", "c"], [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        edges = ((0, 3, 0.0), (1, 3, 0.0), (3, 9, 5.0), (2, 3, 0.0))
+        for verts in ((0, 1, 2, 3, 9), (9, 3, 0, 1, 2)):
+            fitted = fit_edge_weights(WeightedTree(verts, edges, {0: "a", 1: "b", 2: "c"}), dm)
+            assert np.allclose([w for _, _, w in fitted.edges], [1, 1, 0, 1], atol=1e-12)
+            assert fitted.edges[2][2] == 0.0
+
+    def test_fewer_than_two_leaves_rejected(self):
+        one = DistanceMatrix(["a"], [[0.0]])
+        for t in (WeightedTree((0,), (), {0: "a"}),
+                  WeightedTree((5, 0), ((0, 5, 0.5),), {0: "a"})):
+            with pytest.raises(ValueError, match="at least two labeled leaves"):
+                fit_edge_weights(t, one)
+
+
+class TestDeepTrees:
+    """Newick I/O keeps no Python frame per tree level."""
+
+    def test_caterpillar_round_trip(self):
+        t = caterpillar(2000, first=2000)
+        text = write_newick(t)
+        back = parse_newick(text)
+        assert write_newick(back) == text
+        assert back.leaf_labels.values() and sorted(back.leaf_labels.values()) == sorted(
+            t.leaf_labels.values())
+        assert sorted(w for _, _, w in back.edges) == sorted(w for _, _, w in t.edges)
+
+    def test_single_linkage_chain_round_trip(self):
+        # Gaps grow along the line, so single linkage merges the points one
+        # by one into a 400-level chain.
+        x = np.arange(400) + np.linspace(0, 0.5, 400) ** 2
+        dm = DistanceMatrix([f"p{i:03d}" for i in range(400)], np.abs(x[:, None] - x))
+        t = dendrogram_to_tree(linkage(dm, "single"))
+        text = write_newick(t)
+        back = parse_newick(text)
+        assert back.root is not None
+        assert write_newick(back) == text
+        assert np.array_equal(leaf_distance_matrix(back).values, leaf_distance_matrix(t).values)
 
 
 class TestRooting:
@@ -495,6 +769,11 @@ class TestTreeDistance:
         t2 = WeightedTree((0, 1), ((0, 1, 1.0),), {0: "a", 1: "b"})
         with pytest.raises(ValueError):
             tree_distance(t1, t2)
+
+    def test_one_leaf_rejected(self):
+        t = WeightedTree((0,), (), {0: "a"})
+        with pytest.raises(ValueError, match="at least two leaves"):
+            tree_distance(t, t)
 
 
 class TestConvexity:
