@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from .metrics import DistanceMatrix
 from .trees import TreeStructureError, WeightedTree
@@ -117,16 +118,22 @@ def add_noise_edges(tree: WeightedTree, rate: float, seed: int) -> NoisyGraph:
 
 
 def graph_leaf_shortest_paths(graph: NoisyGraph) -> DistanceMatrix:
-    """Leaf-to-leaf shortest weighted path distances of the corrupted graph."""
+    """Leaf-to-leaf shortest weighted path distances of the corrupted graph.
+
+    The graph is stored sparse, one entry per ordered vertex pair: parallel
+    edges keep the smaller weight, and a zero weight is an explicit entry,
+    so it stays an edge.
+    """
     verts = sorted(graph.vertices)
     pos = {v: k for k, v in enumerate(verts)}
-    dense = np.full((len(verts), len(verts)), np.inf)
+    weight: dict[tuple[int, int], float] = {}
     for u, v, w in graph.all_edges:
         i, j = pos[u], pos[v]
-        dense[i, j] = min(dense[i, j], w)
-        dense[j, i] = dense[i, j]
-    # Explicit inf marks non-edges so that zero-weight edges survive.
-    cs = csgraph_from_dense(dense, null_value=np.inf)
+        weight[i, j] = weight[j, i] = min(w, weight.get((i, j), w))
+    pairs = sorted(weight)
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    indptr = np.searchsorted(rows, np.arange(len(verts) + 1))
+    cs = csr_array(([weight[p] for p in pairs], cols, indptr), shape=(len(verts),) * 2)
     leaves = sorted((lbl, v) for v, lbl in graph.leaf_labels.items())
     idx = [pos[v] for _, v in leaves]
     dist = dijkstra(cs, indices=idx)[:, idx]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy.linalg
 
 from . import ball
 from .ball import PoincarePoint, TangentVector
@@ -252,7 +253,9 @@ def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * centering @ (values**2) @ centering
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    # The same LAPACK dsyevd as np.linalg.eigh, with the same bits, but numpy's
+    # build took ~50 ms on some n = 64 Gram matrices where this takes 0.5 ms.
+    eigvals, eigvecs = scipy.linalg.eigh(gram, driver="evd")
     top = np.argsort(eigvals)[::-1][:d]
     coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
     if top.size < d:

@@ -109,8 +109,7 @@ def _quad_gap(s1, s2, s3, t):
 #: Elements per block of the exact scan, which keeps its buffers cache-sized;
 #: blocks also hold at most n² elements, so small inputs get small buffers.
 _BLOCK = 2**15
-#: Quadruples drawn at once by the sampler, and rows per chunk of its scan.
-_SAMPLE_BATCH = 2**20
+#: Quadruples drawn and scanned at once by the sampler.
 _SAMPLE_CHUNK = 2**13
 
 
@@ -152,35 +151,44 @@ def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     return HyperbolicityReport(best / 2.0, "exact", n * (n - 1) * (n - 2) * (n - 3) // 24)
 
 
-def _sampled_gap(d, rng, size: int, limit: int) -> tuple[float, int]:
-    """Draw ``size`` index quadruples and keep the first ``limit`` with four
-    distinct points; returns their largest pair-sum gap and how many they are.
+def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
+    """Lower-bound delta from m uniformly sampled distinct quadruples.
 
-    The draws are scanned in chunks of at most ``_SAMPLE_CHUNK`` rows.  Each
-    pair sum takes its two distances from the flattened matrix with ``take``,
-    into buffers allocated once per call, and the gap of every row not kept
-    is set to 0 before the maximum, so kept rows are never copied out.  Every
-    array lives only in this call, so sampling memory is one batch's.
+    Index quadruples are drawn from ``default_rng(seed)`` as int32 in chunks
+    of ``_SAMPLE_CHUNK`` rows, each just before it is scanned, and the first
+    m whose four points are distinct are scored, so memory does not grow
+    with m.  numpy draws bounded integers below 2**32 with the same buffered
+    32-bit routine for int32 and int64, and the generator keeps the unused
+    half of a 64-bit output between calls, so the indices are those of one
+    call of any size and the result depends only on (matrix, m, seed).  Each
+    pair sum takes its two distances from the flattened matrix with
+    ``take``, into buffers allocated once, and the gap of every row not kept
+    is set to 0 before the maximum, so kept rows are never copied out.
     """
-    n = d.shape[0]
-    flat = d.ravel()
-    idx = rng.integers(0, n, size=(size, 4))
-    rows = min(size, _SAMPLE_CHUNK)
-    floats, ints = np.empty((5, rows)), np.empty((4, rows), dtype=idx.dtype)
-    flags = np.empty((2, rows), dtype=bool)
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    n = dm.n
+    if n < 4:
+        return HyperbolicityReport(0.0, "sampled", 0, seed)
+    rng = np.random.default_rng(seed)
+    flat = dm.values.ravel()
+    rows = _SAMPLE_CHUNK
+    s1, s2, s3, t, u = np.empty((5, rows))
+    quad = np.empty((4, rows), dtype=np.intp)
+    a, b, c, e = quad
+    an, bn, cn, at = np.empty((4, rows), dtype=np.intp)
+    drop, same = np.empty((2, rows), dtype=bool)
     best, got = 0.0, 0
-    for r0 in range(0, size, rows):
-        a, b, c, e = idx[r0 : r0 + rows].T
-        (s1, s2, s3, t, u), (an, bn, cn, at) = floats[:, : a.size], ints[:, : a.size]
-        drop, same = flags[:, : a.size]
+    while got < m:
+        # One contiguous intp row per point: no casts or strides below.
+        np.copyto(quad, rng.integers(0, n, size=(rows, 4), dtype=np.int32).T)
         np.equal(a, b, out=drop)
         for x, y in ((a, c), (a, e), (b, c), (b, e), (c, e)):
             np.logical_or(drop, np.equal(x, y, out=same), out=drop)
-        kept = a.size - int(np.count_nonzero(drop))
-        if got + kept > limit:
-            drop[np.flatnonzero(~drop)[limit - got] :] = True
-            kept = limit - got
-        got += kept
+        kept = rows - int(np.count_nonzero(drop))
+        if got + kept > m:
+            drop[np.flatnonzero(~drop)[m - got] :] = True
+        got = min(got + kept, m)
         np.multiply(a, n, out=an)
         np.multiply(b, n, out=bn)
         np.multiply(c, n, out=cn)
@@ -193,29 +201,6 @@ def _sampled_gap(d, rng, size: int, limit: int) -> tuple[float, int]:
         gap = _quad_gap(s1, s2, s3, t)
         np.copyto(gap, 0.0, where=drop)
         best = max(best, float(gap.max()))
-        if got == limit:
-            break
-    return best, got
-
-
-def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
-    """Lower-bound delta from m uniformly sampled distinct quadruples.
-
-    Index quadruples are drawn from ``default_rng(seed)`` in batches of at
-    most ``_SAMPLE_BATCH``, and the first m whose four points are distinct
-    are scored, so memory does not grow with m.  The result depends only on
-    (matrix, m, seed), not on how the batches are scanned.
-    """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    if dm.n < 4:
-        return HyperbolicityReport(0.0, "sampled", 0, seed)
-    rng = np.random.default_rng(seed)
-    best, remaining = 0.0, m
-    while remaining > 0:
-        size = min(max(remaining, 1024), _SAMPLE_BATCH)
-        gap, got = _sampled_gap(dm.values, rng, size, remaining)
-        best, remaining = max(best, gap), remaining - got
     return HyperbolicityReport(best / 2.0, "sampled", m, seed)
 
 

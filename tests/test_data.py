@@ -1,11 +1,15 @@
 """Synthetic generation and file-format checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from hyptree.data import (
     FeatureTable,
     MatrixFormatError,
+    NoisyGraph,
     add_noise_edges,
     cosine_dissimilarity,
     graph_leaf_shortest_paths,
@@ -23,6 +27,36 @@ from hyptree.trees import (
     lca_clan_sizes,
     leaf_distance_matrix,
     midpoint_root,
+)
+
+
+def dense_leaf_shortest_paths(graph):
+    """Reference: the graph as a dense vertex-by-vertex matrix with inf for
+    non-edges, passed through ``csgraph_from_dense``."""
+    verts = sorted(graph.vertices)
+    pos = {v: k for k, v in enumerate(verts)}
+    dense = np.full((len(verts), len(verts)), np.inf)
+    for u, v, w in graph.all_edges:
+        i, j = pos[u], pos[v]
+        dense[i, j] = min(dense[i, j], w)
+        dense[j, i] = dense[i, j]
+    cs = csgraph_from_dense(dense, null_value=np.inf)
+    leaves = sorted((lbl, v) for v, lbl in graph.leaf_labels.items())
+    idx = [pos[v] for _, v in leaves]
+    dist = dijkstra(cs, indices=idx)[:, idx]
+    return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
+
+
+def assert_matches_dense_reference(graph):
+    got, want = graph_leaf_shortest_paths(graph), dense_leaf_shortest_paths(graph)
+    assert got.labels == want.labels
+    assert got.values.tobytes() == want.values.tobytes()
+    return got
+
+
+#: Path a - x - c whose edge a - x has weight 0, and a leaf b hanging off x.
+ZERO_WEIGHT_TREE = WeightedTree(
+    (0, 1, 2, 3), ((0, 1, 0.0), (1, 2, 3.0), (1, 3, 0.5)), {0: "a", 2: "c", 3: "b"}
 )
 
 
@@ -114,8 +148,6 @@ class TestShortestPaths:
 
     def test_triangle_shortcut(self):
         # path a - b - c with weights 1, 3 plus a shortcut (a, c) of weight 1
-        from hyptree.data import NoisyGraph
-
         tree = WeightedTree(
             (0, 1, 2, 3),
             ((0, 1, 1.0), (1, 2, 3.0), (1, 3, 0.0)),
@@ -146,6 +178,44 @@ class TestShortestPaths:
         g = add_noise_edges(t, 0.5, 9)
         noisy = graph_leaf_shortest_paths(g)
         assert np.all(noisy.values <= base.values + 1e-12)
+
+    def test_bitwise_matches_dense_reference(self):
+        for n in (4, 8, 64, 192, 512):
+            for s in range(5):
+                assert_matches_dense_reference(add_noise_edges(random_binary_tree(n, s), 0.3, s + 1))
+
+    def test_zero_weights_are_edges(self):
+        t = ZERO_WEIGHT_TREE
+        dm = assert_matches_dense_reference(NoisyGraph(t.vertices, t.edges, (), t.leaf_labels))
+        assert dm.values[dm.labels.index("a"), dm.labels.index("b")] == 0.5
+        dm = assert_matches_dense_reference(
+            NoisyGraph(t.vertices, t.edges, ((0, 2, 0.0),), t.leaf_labels)
+        )
+        assert dm.values[dm.labels.index("a"), dm.labels.index("c")] == 0.0
+
+    def test_parallel_edges_keep_smaller_weight(self):
+        t = ZERO_WEIGHT_TREE
+        for extra in (((2, 1, 1.0),), ((1, 2, 5.0), (2, 1, 1.0), (1, 2, 2.0))):
+            dm = assert_matches_dense_reference(NoisyGraph(t.vertices, t.edges, extra, t.leaf_labels))
+            assert dm.values[dm.labels.index("a"), dm.labels.index("c")] == 1.0
+
+    def test_disconnected_rejected(self):
+        edges = ((0, 1, 1.0), (2, 3, 1.0))
+        g = NoisyGraph((0, 1, 2, 3), edges, (), {0: "a", 1: "b", 2: "c", 3: "d"})
+        with pytest.raises(TreeStructureError, match="disconnected"):
+            graph_leaf_shortest_paths(g)
+
+    def test_peak_memory_bounded(self):
+        # The graph is built sparse from the edge list; a dense vertex-by-vertex
+        # matrix alone would be 8 MiB at n = 512.
+        g = add_noise_edges(random_binary_tree(512, 0), 0.3, 1)
+        tracemalloc.start()
+        try:
+            graph_leaf_shortest_paths(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestDasguptaMeasurements:

@@ -96,6 +96,21 @@ def reference_clip(points, c, margin):
     return pts
 
 
+def reference_mds_init(values, d, c):
+    """The mds start with ``np.linalg.eigh`` in place of scipy's dsyevd driver."""
+    n = values.shape[0]
+    centering = np.eye(n) - np.ones((n, n)) / n
+    gram = -0.5 * centering @ (values**2) @ centering
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    top = np.argsort(eigvals)[::-1][:d]
+    coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
+    if top.size < d:
+        coords = np.hstack([coords, np.zeros((n, d - top.size))])
+    radii = np.linalg.norm(coords, axis=1, keepdims=True)
+    unit = coords / np.maximum(radii, 1e-300)
+    return unit * np.tanh(np.sqrt(c) * radii / 2.0) / np.sqrt(c)
+
+
 def reference_train(dm, cfg):
     """``(points, loss_trace)`` of the reference loop from the encoder's own start."""
     c, p = cfg.curvature, cfg.p
@@ -398,6 +413,18 @@ class TestBitwiseReference:
         geo = ball.pairwise_geometry(pts, c)
         got = embedding_module._power_gradient(pts, geo, geo.dist - target, c, p)
         assert got.tobytes() == expected.tobytes()
+
+    def test_mds_start_matches_numpy_eigh(self):
+        rng = np.random.default_rng(72)
+        for n in (2, 3, 5, 26, 48, 64, 65, 128):
+            inputs = [random_dm(rng, n).values]
+            if n >= 5:
+                tree = random_binary_tree(n, n)
+                inputs.append(graph_leaf_shortest_paths(add_noise_edges(tree, 0.3, n + 1)).values)
+            for values in inputs:
+                for d in (2, 4):
+                    got = embedding_module._mds_init(values, d, 1.0)
+                    assert got.tobytes() == reference_mds_init(values, d, 1.0).tobytes(), (n, d)
 
     def test_kernel_matches_reference_geometry(self):
         rng = np.random.default_rng(71)

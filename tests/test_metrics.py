@@ -78,6 +78,21 @@ def compacting_sampled_gap(d, rng, size, limit):
     return float(gap.max()), a.size
 
 
+def compacting_delta_sampled(dm, m, seed):
+    """Reference sampled delta: int64 batches of min(max(remaining, 1024),
+    2**20) quadruples, each drawn in one call and scanned by
+    ``compacting_sampled_gap`` until m distinct quadruples are kept."""
+    if dm.n < 4:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    best, remaining = 0.0, m
+    while remaining > 0:
+        size = min(max(remaining, 1024), 2**20)
+        gap, got = compacting_sampled_gap(dm.values, rng, size, remaining)
+        best, remaining = max(best, gap), remaining - got
+    return best / 2.0
+
+
 def dyadic_matrix(rng, n):
     """Random symmetric matrix with entries k/16: both delta routes are exact."""
     raw = rng.integers(1, 64, size=(n, n)) / 16.0
@@ -217,37 +232,33 @@ class TestDeltaSampled:
             finally:
                 tracemalloc.stop()
 
-        # Batches are capped at 2**20 draws, so m = 4e6 costs about what 1e6 does.
+        # Each chunk is drawn just before it is scanned, so the peak does not
+        # grow with m.
         assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 64) < 100
+        assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 512) < 2
         assert peak_mib(delta_exact, 160) < 4
 
-    def test_bitwise_matches_compacting_reference(self, monkeypatch):
+    def test_bitwise_matches_compacting_reference(self):
         # At n = 4 only 24 of 256 draws have four distinct points, so the
-        # batches run short and the last one is cut at the remaining count.
+        # reference batches run short and the last one is cut at the
+        # remaining count.
         rng = np.random.default_rng(21)
         for n in (4, 5, 8, 64, 192):
             dm = reference_inputs(rng, n)[0]
-            for m in (1, 7, 1023, 1025, 2**20, 2**20 + 1):
+            for m in (1, 7, 1023, 1025, 2**20, 2**20 + 1, 10**6):
                 for seed in (0, 1, 2):
-                    got = delta_sampled(dm, m, seed)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(metrics, "_sampled_gap", compacting_sampled_gap)
-                        want = delta_sampled(dm, m, seed)
-                    assert got == want, (n, m, seed)
+                    want = compacting_delta_sampled(dm, m, seed)
+                    assert delta_sampled(dm, m, seed).delta == want, (n, m, seed)
 
     def test_small_chunks_match_compacting_reference(self, monkeypatch):
-        # With 7-row chunks a batch is cut at its remaining count in a chunk
-        # after the first, which the default chunk size never does.
+        # 7-row chunks put the m-th kept quadruple in a chunk after the first
+        # even for small m.
         rng = np.random.default_rng(22)
+        monkeypatch.setattr(metrics, "_SAMPLE_CHUNK", 7)
         for n in (4, 8, 64):
             dm = reference_inputs(rng, n)[1]
             for m in (1, 7, 1023, 1025, 3000):
-                with monkeypatch.context() as patch:
-                    patch.setattr(metrics, "_SAMPLE_CHUNK", 7)
-                    got = delta_sampled(dm, m, seed=5)
-                    patch.setattr(metrics, "_sampled_gap", compacting_sampled_gap)
-                    want = delta_sampled(dm, m, seed=5)
-                assert got == want, (n, m)
+                assert delta_sampled(dm, m, seed=5).delta == compacting_delta_sampled(dm, m, 5), (n, m)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
