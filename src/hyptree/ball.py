@@ -1,17 +1,17 @@
 """Poincare-ball geometry: distances, Mobius operations, geodesics, exp map.
 
 All operations act on points of the open ball ``B^d_c = {x : sqrt(c)*||x|| < 1}``
-with curvature parameter ``c > 0``.  Two APIs are provided: a validated
-per-point API built on :class:`PoincarePoint`, and unvalidated array routines
-operating on ``(n, d)`` coordinate blocks, which the embedding optimizer uses
-in its inner loop.  The encoder uses one shared distance kernel,
-:func:`pairwise_geometry`, for its training loss and gradient and, through
-:func:`pairwise_distance_matrix`, for the denoised matrix.  The kernel
-returns a :class:`PairGeometry` and can overwrite one from an earlier call,
-so a training run allocates its pairwise arrays once.  Its row quantities
-(``sqnorm``, ``conf``) can be handed to :func:`exp_map_points` and
-:func:`conformal_to_riemannian`, which then skip recomputing them; either way
-the results are the same bits.
+with curvature parameter ``c > 0``.  Unvalidated array routines act on
+``(n, d)`` coordinate blocks, as the embedding optimizer needs; the per-point
+API built on :class:`PoincarePoint` validates its arguments and then calls
+them on one- or two-row blocks, so each formula exists once.  The encoder uses
+one shared distance kernel, :func:`pairwise_geometry`, for its training loss
+and gradient and, through :func:`pairwise_distance_matrix`, for the denoised
+matrix.  The kernel returns a :class:`PairGeometry` and can overwrite one from
+an earlier call, so a training run allocates its pairwise arrays once.  Its
+row quantities (``sqnorm``, ``conf``) can be handed to :func:`exp_map_points`
+and :func:`conformal_to_riemannian`, which then skip recomputing them; either
+way the results are the same bits.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ DEFAULT_MARGIN = 1e-5
 _ZERO_NORM = 1e-15
 
 
-def check_margin(margin: float, name: str = "margin") -> None:
+def check_margin(margin: float) -> None:
     """Raise ValueError unless the boundary margin lies in (0, 1e-2].
 
     A margin of 1 or more puts the clip radius (1 - margin)/sqrt(c) at or
     below zero, which collapses or flips every clipped point.
     """
     if not 0.0 < margin <= 1e-2:
-        raise ValueError(f"{name} must lie in (0, 1e-2], got {margin}")
+        raise ValueError(f"margin must lie in (0, 1e-2], got {margin}")
 
 
 def _as_vector(coords) -> np.ndarray:
@@ -101,36 +101,21 @@ def _check_compatible(x: PoincarePoint, y: PoincarePoint) -> None:
 def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
     """Hyperbolic distance between two points of B^d_c.
 
-    Computes ``(2/sqrt(c)) * asinh(sqrt(q))`` with
-    ``q = c||x-y||^2 / ((1-c||x||^2)(1-c||y||^2))``, which equals the
-    textbook ``(1/sqrt(c)) * acosh(1 + 2q)`` but keeps full relative accuracy
-    for near-coincident points, where ``1 + 2q`` rounds to 1.
+    Reads entry (0, 1) of :func:`pairwise_distance_matrix` on the two-row
+    block ``[x; y]``, so it is the asinh form of the block kernel, which
+    keeps full relative accuracy for near-coincident points.  Exactly
+    symmetric in its arguments.
     """
     _check_compatible(x, y)
-    c = x.curvature
-    diff = x.coords - y.coords
-    denom = (1.0 - c * float(x.coords @ x.coords)) * (
-        1.0 - c * float(y.coords @ y.coords)
-    )
-    q = c * float(diff @ diff) / denom
-    return float(2.0 * np.arcsinh(np.sqrt(q)) / np.sqrt(c))
+    block = np.stack((x.coords, y.coords))
+    return float(pairwise_distance_matrix(block, x.curvature)[0, 1])
 
 
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     """Mobius sum x (+)_c y.  Non-commutative and non-associative."""
     _check_compatible(x, y)
     c = x.curvature
-    out = _mobius_add_raw(x.coords, y.coords, c)
-    return PoincarePoint(out, c)
-
-
-def _mobius_add_raw(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    xy = float(x @ y)
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return num / den
+    return PoincarePoint(mobius_add_points(x.coords[None], y.coords[None], c)[0], c)
 
 
 def mobius_scale(t: float, x: PoincarePoint) -> PoincarePoint:
@@ -258,13 +243,13 @@ def pairwise_geometry(points: np.ndarray, c: float,
 
     ``out``, a result of an earlier call on a block of the same shape, is
     overwritten instead of allocating new arrays.  Differences are formed
-    explicitly (no Gram-matrix shortcut), and distances come from the asinh
-    form of :func:`poincare_distance`, so near-coincident points keep full
-    relative accuracy.  A block of rows gets all its differences from one
-    matrix product, ``[I | x_i] @ [-X^T ; 1]``: each entry is
-    ``x_ik * 1 + 1 * (-x_jk)`` plus exact zeros, which rounds exactly like
-    ``x_ik - x_jk``.  The squared differences are summed over coordinates
-    in order.
+    explicitly (no Gram-matrix shortcut), and distances are
+    ``(2/sqrt(c)) asinh(sqrt(q))``, the textbook ``acosh(1 + 2q)/sqrt(c)`` in
+    a form that stays accurate where ``1 + 2q`` rounds to 1.  A block of rows
+    gets all its differences from one matrix product, ``[I | x_i] @ [-X^T ; 1]``:
+    each entry is ``x_ik * 1 + 1 * (-x_jk)`` plus exact zeros, which rounds
+    exactly like ``x_ik - x_jk``.  The squared differences are summed over
+    coordinates in order.
     """
     pts = np.asarray(points, dtype=np.float64)
     n, d = pts.shape

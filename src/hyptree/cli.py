@@ -141,6 +141,13 @@ def _write_outcome(outdir: Path, name: str, outcome: DecodeOutcome) -> list[Path
     return paths
 
 
+def _write_encoder_outputs(outdir: Path, result: EmbeddingResult,
+                           denoised: DistanceMatrix) -> None:
+    save_matrix(denoised, outdir / "denoised.txt")
+    write_embedding(result, outdir / "embedding.txt")
+    write_loss_trace(result, outdir / "loss_trace.txt")
+
+
 def _print_boundary(result: EmbeddingResult) -> None:
     print(f"boundary: rescales = {result.boundary_rescales}, "
           f"points_at_limit = {result.points_at_limit}", file=sys.stderr)
@@ -170,9 +177,7 @@ def _cmd_denoise(args) -> int:
     _print_boundary(result)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_matrix(denoised_metric(result), outdir / "denoised.txt")
-    write_embedding(result, outdir / "embedding.txt")
-    write_loss_trace(result, outdir / "loss_trace.txt")
+    _write_encoder_outputs(outdir, result, denoised_metric(result))
     print(f"encoder_loss = {result.final_loss!r}")
     print(f"wrote {outdir / 'denoised.txt'}")
     return 0
@@ -233,9 +238,7 @@ def _cmd_pipeline(args) -> int:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.txt").write_text(text, encoding="utf-8")
-        save_matrix(artifacts["denoised"], outdir / "denoised.txt")
-        write_embedding(artifacts["embedding"], outdir / "embedding.txt")
-        write_loss_trace(artifacts["embedding"], outdir / "loss_trace.txt")
+        _write_encoder_outputs(outdir, artifacts["embedding"], artifacts["denoised"])
         for name in decoders:
             for which in ("direct", "denoised"):
                 key = f"{name}_{which}"

@@ -3,13 +3,15 @@
 Random weighted binary trees are corrupted by adding shortcut edges between
 arbitrary vertices; the observable is the leaf-to-leaf shortest-path metric
 of the resulting graph.  Real feature tables are ingested as 1 - cosine
-dissimilarities.  Matrix and feature files are plain delimited text.
+dissimilarities.  Matrix and feature files are plain delimited text, read
+and written only by :func:`read_table` and :func:`write_table`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -157,24 +159,45 @@ def cosine_dissimilarity(table: FeatureTable) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _split_fields(line: str) -> list[str]:
-    sep = "\t" if "\t" in line else ","
-    return [f.strip() for f in line.rstrip("\n").split(sep)]
+def read_table(path) -> tuple[int, Iterator[list[str]]]:
+    """The number of non-blank lines of a delimited text file, and their fields.
+
+    A line is split on tabs if it contains one, else on commas, and every
+    field is stripped of surrounding whitespace.  Lines are split one at a
+    time as the iterator reaches them, because a matrix's field strings take
+    several times the memory of its text.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    fields = ([f.strip() for f in ln.rstrip("\n").split("\t" if "\t" in ln else ",")]
+              for ln in lines)
+    return len(lines), fields
+
+
+def write_table(path, rows, header=None) -> None:
+    """Write each row as one tab-separated line, after an optional header row.
+
+    Floats are written as ``repr(float(x))``, which reads back to the same
+    bits, and every other field (strings, integers) by ``str``.
+    """
+    floats = (float, np.floating)
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows if header is None else [header, *rows]:
+            fields = (repr(float(x)) if isinstance(x, floats) else str(x) for x in row)
+            fh.write("\t".join(fields) + "\n")
 
 
 def load_matrix(path) -> DistanceMatrix:
     """Read a labeled matrix file: a label header line, then n numeric rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines:
+    count, table = read_table(path)
+    if not count:
         raise MatrixFormatError(f"{path}: empty file")
-    labels = _split_fields(lines[0])
+    labels = next(table)
     n = len(labels)
-    if len(lines) - 1 != n:
-        raise MatrixFormatError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
+    if count - 1 != n:
+        raise MatrixFormatError(f"{path}: expected {n} data rows, found {count - 1}")
     vals = np.zeros((n, n))
-    for i, line in enumerate(lines[1:]):
-        fields = _split_fields(line)
+    for i, fields in enumerate(table):
         if len(fields) != n:
             raise MatrixFormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {n}")
         try:
@@ -193,26 +216,20 @@ def load_matrix(path) -> DistanceMatrix:
 
 
 def save_matrix(dm: DistanceMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(dm.labels) + "\n")
-        for row in dm.values:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+    write_table(path, dm.values, header=dm.labels)
 
 
 def load_features(path) -> FeatureTable:
     """Read a feature file: header ``label`` + feature names, then data rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if len(lines) < 2:
+    count, table = read_table(path)
+    if count < 2:
         raise MatrixFormatError(f"{path}: need a header and at least one data row")
-    header = _split_fields(lines[0])
-    m = len(header) - 1
+    m = len(next(table)) - 1
     if m < 1:
         raise MatrixFormatError(f"{path}: header must name at least one feature")
     labels = []
     rows = []
-    for i, line in enumerate(lines[1:]):
-        fields = _split_fields(line)
+    for i, fields in enumerate(table):
         if len(fields) != m + 1:
             raise MatrixFormatError(
                 f"{path}: row {i + 1} has {len(fields)} fields, expected {m + 1}"
@@ -226,18 +243,11 @@ def load_features(path) -> FeatureTable:
 
 
 def save_features(table: FeatureTable, path) -> None:
-    m = table.features.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label\t" + "\t".join(f"f{k}" for k in range(m)) + "\n")
-        for lbl, row in zip(table.labels, table.features):
-            fh.write(lbl + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+    header = ["label"] + [f"f{k}" for k in range(table.features.shape[1])]
+    write_table(path, ([lbl, *row] for lbl, row in zip(table.labels, table.features)), header)
 
 
 def save_edge_list(graph: NoisyGraph, path) -> None:
     """Write the corrupted graph as ``u v weight kind`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u\tv\tweight\tkind\n")
-        for u, v, w in graph.tree_edges:
-            fh.write(f"{u}\t{v}\t{w!r}\ttree\n")
-        for u, v, w in graph.noise_edges:
-            fh.write(f"{u}\t{v}\t{w!r}\tnoise\n")
+    rows = [(*e, "tree") for e in graph.tree_edges] + [(*e, "noise") for e in graph.noise_edges]
+    write_table(path, rows, header=("u", "v", "weight", "kind"))

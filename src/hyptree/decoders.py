@@ -15,6 +15,7 @@ import numpy as np
 from scipy.cluster import hierarchy
 from scipy.spatial.distance import squareform
 
+from .data import write_table
 from .metrics import DistanceMatrix
 from .trees import WeightedTree
 
@@ -181,9 +182,7 @@ def linkage(dm: DistanceMatrix, method: str) -> Dendrogram:
 
 def write_dendrogram(dend: Dendrogram, path) -> None:
     """Write merges as ``index  cluster_a  cluster_b  height  size`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, (a, b, h, size) in enumerate(dend.merges):
-            fh.write(f"{k}\t{a}\t{b}\t{h!r}\t{size}\n")
+    write_table(path, ((k, *merge) for k, merge in enumerate(dend.merges)))
 
 
 def dendrogram_to_ultrametric(dend: Dendrogram) -> DistanceMatrix:

@@ -17,13 +17,18 @@ import scipy.linalg
 
 from . import ball
 from .ball import PoincarePoint, TangentVector
+from .data import write_table
 from .metrics import DistanceMatrix
 
 #: Default spread of the rescaled input: scaling_factor is chosen so that the
 #: largest target distance equals this value.  Must stay well below the
-#: ball diameter reachable under the boundary margin,
+#: ball diameter reachable under the boundary margin ``ball.DEFAULT_MARGIN``,
 #: 2 * atanh(1 - margin) / sqrt(c)  (~2.44 for c = 100, margin = 1e-5).
 TARGET_SPREAD = 2.0
+
+#: Learning-rate multiplier once ``burnin_epochs`` have passed: the burn-in
+#: runs at a tenth of the main rate, the ratio Nickel & Kiela (2017) use.
+BURNIN_FACTOR = 10.0
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -45,7 +50,8 @@ class EncoderConfig:
 
     ``scaling_factor=None`` rescales the input so its largest entry maps to
     ``TARGET_SPREAD``.  Every step uses all pairs.  The learning rate is
-    multiplied by ``burnin_factor`` once ``burnin_epochs`` have passed.
+    multiplied by ``BURNIN_FACTOR`` once ``burnin_epochs`` have passed, and
+    points are kept ``ball.DEFAULT_MARGIN`` inside the boundary.
 
     Every run starts from one layout, ``init_scheme = "mds"``: a classical
     metric-MDS layout of the target lifted through the origin exponential
@@ -71,11 +77,9 @@ class EncoderConfig:
     p: float = 2.0
     learning_rate: float = 1e-2
     burnin_epochs: int = 200
-    burnin_factor: float = 10.0
     total_epochs: int = 4000
     scaling_factor: float | None = None
     seed: int = 0
-    boundary_margin: float = ball.DEFAULT_MARGIN
     #: Names the one start for callers that report it; a constant, not a field.
     init_scheme: ClassVar[str] = "mds"
 
@@ -90,10 +94,8 @@ class EncoderConfig:
             raise ValueError("total_epochs must be at least 1")
         if not 0 <= self.burnin_epochs <= self.total_epochs:
             raise ValueError("need total_epochs >= burnin_epochs >= 0")
-        for name in ("learning_rate", "burnin_factor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        ball.check_margin(self.boundary_margin, "boundary_margin")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.scaling_factor is not None and self.scaling_factor <= 0.0:
             raise ValueError("scaling_factor must be positive")
 
@@ -276,7 +278,7 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
     pts = _mds_init(target, cfg.dimension, cfg.curvature)
     jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
     pts = ball.exp_map_points(pts, jitter, cfg.curvature)
-    return ball.clip_to_ball(pts, cfg.curvature, cfg.boundary_margin, full_output=True)
+    return ball.clip_to_ball(pts, cfg.curvature, full_output=True)
 
 
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
@@ -287,8 +289,8 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     distances divided by the scaling factor versus the raw input.  Each epoch
     performs one Riemannian Adam step (moments kept in ambient tangent
     coordinates, no transport) followed by a projection step that keeps every
-    point inside the boundary margin; the result counts the points that
-    projection moved.  The pairwise geometry (:func:`ball.pairwise_geometry`)
+    point ``ball.DEFAULT_MARGIN`` inside the boundary; the result counts the
+    points that projection moved.  The pairwise geometry (:func:`ball.pairwise_geometry`)
     is computed once per epoch, after the step, into buffers allocated once
     per run: it gives that epoch's loss and the next epoch's gradient, and
     its row quantities also serve the Riemannian rescale and the exponential
@@ -319,7 +321,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     precond = None
 
     for epoch in range(cfg.total_epochs):
-        lr = cfg.learning_rate * (cfg.burnin_factor if epoch >= cfg.burnin_epochs else 1.0)
+        lr = cfg.learning_rate * (BURNIN_FACTOR if epoch >= cfg.burnin_epochs else 1.0)
         if epoch >= cooldown_start:
             lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
         grad = _power_gradient(points, geo, resid, c, cfg.p, work)
@@ -342,7 +344,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         # hovering at a constant-step floor.
         step = -lr * m_hat / precond[:, None]
         points = ball.exp_map_points(points, step, c, geo.sqnorm, geo.conf)
-        points, clipped = ball.clip_to_ball(points, c, cfg.boundary_margin, full_output=True)
+        points, clipped = ball.clip_to_ball(points, c, full_output=True)
         rescales += clipped
 
         ball.pairwise_geometry(points, c, out=geo)
@@ -375,17 +377,10 @@ def denoised_metric(result: EmbeddingResult) -> DistanceMatrix:
 def write_embedding(result: EmbeddingResult, path) -> None:
     """Dump coordinates as delimited text with a metadata header line."""
     emb = result.embedding
-    d = emb.points.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"curvature={emb.curvature!r}\tdim={d}\t"
-            f"scaling_factor={result.scaling_factor!r}\n"
-        )
-        for lbl, row in zip(emb.labels, emb.points):
-            fh.write(lbl + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+    header = (f"curvature={emb.curvature!r}", f"dim={emb.points.shape[1]}",
+              f"scaling_factor={result.scaling_factor!r}")
+    write_table(path, ([lbl, *row] for lbl, row in zip(emb.labels, emb.points)), header)
 
 
 def write_loss_trace(result: EmbeddingResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for epoch, loss in enumerate(result.loss_trace):
-            fh.write(f"{epoch}\t{float(loss)!r}\n")
+    write_table(path, enumerate(result.loss_trace))

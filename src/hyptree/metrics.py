@@ -34,7 +34,9 @@ class DistanceMatrix:
         if not np.all(np.isfinite(vals)):
             i, j = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite entry at ({self.labels[i]}, {self.labels[j]})")
-        asym = np.abs(vals - vals.T)
+        # One n x n temporary: |D - D^T|, then (D + D^T)/2 in the same buffer.
+        asym = np.subtract(vals, vals.T)
+        np.abs(asym, out=asym)
         worst = asym.max() if asym.size else 0.0
         if worst > SYMMETRY_TOL:
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
@@ -43,7 +45,7 @@ class DistanceMatrix:
                 f"exceeds {SYMMETRY_TOL:g}"
             )
         if worst > 0.0:
-            vals = (vals + vals.T) / 2.0
+            vals = np.divide(np.add(vals, vals.T, out=asym), 2.0, out=asym)
         if vals.size and vals.min() < -1e-12:
             i, j = np.unravel_index(np.argmin(vals), vals.shape)
             raise ValueError(f"negative entry at ({self.labels[i]}, {self.labels[j]})")

@@ -27,6 +27,57 @@ def rand_point(rng, c=1.0, d=2, rmax=0.8):
     return PoincarePoint(rmax * rng.random() ** (1 / d) * g / np.sqrt(c), c)
 
 
+# ---------------------------------------------------------------------------
+# Reference per-point formulas: the scalar versions the point API used before
+# it called the block routines.
+# ---------------------------------------------------------------------------
+
+
+def reference_distance(x: PoincarePoint, y: PoincarePoint) -> float:
+    c = x.curvature
+    diff = x.coords - y.coords
+    denom = (1.0 - c * float(x.coords @ x.coords)) * (
+        1.0 - c * float(y.coords @ y.coords)
+    )
+    q = c * float(diff @ diff) / denom
+    return float(2.0 * np.arcsinh(np.sqrt(q)) / np.sqrt(c))
+
+
+def reference_mobius_add(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    x2 = float(x @ x)
+    y2 = float(y @ y)
+    xy = float(x @ y)
+    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
+    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
+    return num / den
+
+
+def reference_pairs(rng):
+    """(x, y) pairs: random, near the boundary, and near-coincident."""
+    for c in (1.0, 4.0, 100.0):
+        for d in (2, 3, 4):
+            for _ in range(30):
+                yield rand_point(rng, c, d), rand_point(rng, c, d)
+            for margin in (1e-2, 1e-3, 1e-5):
+                for _ in range(10):
+                    g = rng.standard_normal((2, d))
+                    g *= (1.0 - margin) / (np.sqrt(c) * np.linalg.norm(g, axis=1, keepdims=True))
+                    yield PoincarePoint(g[0], c), PoincarePoint(g[1], c)
+            for _ in range(20):
+                x = rand_point(rng, c, d, rmax=0.9)
+                step = rng.standard_normal(d) * 1e-9 / np.sqrt(c)
+                yield x, PoincarePoint(x.coords + step, c)
+
+
+def mobius_rounding_scale(x, y, c):
+    """First-order bound on the rounding error of each coordinate of x (+)_c y, in eps."""
+    x2, y2, xy = x @ x, y @ y, x @ y
+    num = (1.0 + 2.0 * c * abs(xy) + c * y2) * np.abs(x) + (1.0 + c * x2) * np.abs(y)
+    den = 1.0 + 2.0 * c * abs(xy) + c * c * x2 * y2
+    out = reference_mobius_add(x, y, c)
+    return (num + np.abs(out) * den) / abs(1.0 + 2.0 * c * xy + c * c * x2 * y2)
+
+
 class TestDistance:
     def test_identity_at_origin(self):
         o = pt([0.0, 0.0])
@@ -127,6 +178,39 @@ class TestDistance:
                 # the near pairs: about 2e-9 / (1 - 0.25) / sqrt(c)
                 near = mat[np.arange(0, 8, 2), np.arange(1, 8, 2)] * np.sqrt(c)
                 assert np.allclose(near, 2e-9 / 0.75, rtol=1e-6)
+
+
+class TestPointApiMatchesReference:
+    # The block routines sum squares with einsum and scale q in another order,
+    # so results may differ from the scalar formulas by a few rounding errors.
+    # Near the boundary 1 - c||x||^2 cancels, which scales the distance's
+    # rounding error by 1 / (1 - c||x||^2), and the Mobius sum can cancel in
+    # its numerator and denominator; each tolerance carries that factor.
+    ROUNDINGS = 4
+
+    def test_distance(self):
+        rng = np.random.default_rng(20)
+        for x, y in reference_pairs(rng):
+            got, want = poincare_distance(x, y), reference_distance(x, y)
+            c = x.curvature
+            kappa = 1.0 / min(1.0 - c * (x.coords @ x.coords), 1.0 - c * (y.coords @ y.coords))
+            assert abs(got - want) <= self.ROUNDINGS * kappa * np.spacing(want), (got, want)
+
+    def test_distance_exactly_symmetric(self):
+        rng = np.random.default_rng(21)
+        for x, y in reference_pairs(rng):
+            assert poincare_distance(x, y) == poincare_distance(y, x)
+
+    def test_mobius_add(self):
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(22)
+        for x, y in reference_pairs(rng):
+            for a, b in ((x, y), (y, x)):
+                c = a.curvature
+                got = mobius_add(a, b).coords
+                want = reference_mobius_add(a.coords, b.coords, c)
+                tol = self.ROUNDINGS * eps * mobius_rounding_scale(a.coords, b.coords, c)
+                assert np.all(np.abs(got - want) <= tol), (got, want)
 
 
 class TestMobius:

@@ -257,16 +257,17 @@ class TestEncoderOptions:
         assert (cfg.seed, cfg.curvature) == (4, 10.0)
 
 
-    def test_invalid_boundary_margin_exits_2(self, tmp_path, capsys):
+    def test_fixed_settings_have_no_flag(self, tmp_path, capsys):
         src = synth(tmp_path)
         for command in ("denoise", "pipeline"):
-            rc = main([
-                command, "--input", str(src / "matrix.txt"), "--output-dir",
-                str(tmp_path / command), "--boundary-margin", "1.0", *FAST,
-            ])
-            assert rc == 2
-            assert "boundary_margin" in capsys.readouterr().err
-            assert not (tmp_path / command).exists()
+            for flag in ("--boundary-margin", "--burnin-factor"):
+                rc = main([
+                    command, "--input", str(src / "matrix.txt"), "--output-dir",
+                    str(tmp_path / command), flag, "1e-4", *FAST,
+                ])
+                assert rc == 2
+                assert flag in capsys.readouterr().err
+                assert not (tmp_path / command).exists()
 
     def test_boundary_counts_on_stderr(self, tmp_path, capsys):
         src = synth(tmp_path)
@@ -322,11 +323,13 @@ class TestConfigFile:
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(
-            "epochs = 60\npairs-per-step = 3\nlerning_rate = 0.1\ninit-radius = 1e-6\n")
+            "epochs = 60\npairs-per-step = 3\nlerning_rate = 0.1\ninit-radius = 1e-6\n"
+            "boundary-margin = 1e-4\nburnin_factor = 5\n")
         rc = main(["--config", str(cfg), "delta", "--input", "x"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "pairs_per_step" in err and "lerning_rate" in err and "init_radius" in err
+        assert "boundary_margin" in err and "burnin_factor" in err
         assert "epochs" not in err
 
 

@@ -1,5 +1,6 @@
 """Synthetic generation and file-format checks."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,14 @@ from hyptree.data import (
     save_edge_list,
     save_features,
     save_matrix,
+)
+from hyptree.decoders import Dendrogram, write_dendrogram
+from hyptree.embedding import (
+    EmbeddingResult,
+    EncoderConfig,
+    PoincareEmbedding,
+    write_embedding,
+    write_loss_trace,
 )
 from hyptree.metrics import DistanceMatrix
 from hyptree.trees import (
@@ -52,6 +61,246 @@ def assert_matches_dense_reference(graph):
     assert got.labels == want.labels
     assert got.values.tobytes() == want.values.tobytes()
     return got
+
+
+# ---------------------------------------------------------------------------
+# Reference readers and writers: each file format as it was implemented before
+# one table reader and one table writer served them all.  The current code
+# must write the same bytes and raise the same errors.
+# ---------------------------------------------------------------------------
+
+
+def reference_split_fields(line):
+    sep = "\t" if "\t" in line else ","
+    return [f.strip() for f in line.rstrip("\n").split(sep)]
+
+
+def reference_load_matrix(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    if not lines:
+        raise MatrixFormatError(f"{path}: empty file")
+    labels = reference_split_fields(lines[0])
+    n = len(labels)
+    if len(lines) - 1 != n:
+        raise MatrixFormatError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
+    vals = np.zeros((n, n))
+    for i, line in enumerate(lines[1:]):
+        fields = reference_split_fields(line)
+        if len(fields) != n:
+            raise MatrixFormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {n}")
+        try:
+            vals[i] = [float(f) for f in fields]
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}: row {i + 1}: {exc}") from None
+    neg = np.argwhere(vals < 0.0)
+    if neg.size:
+        i, j = neg[0]
+        raise MatrixFormatError(f"{path}: negative entry at row {i + 1}, column {j + 1}")
+    try:
+        return DistanceMatrix(labels, vals)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from None
+
+
+def reference_save_matrix(dm, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(dm.labels) + "\n")
+        for row in dm.values:
+            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+
+
+def reference_load_features(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise MatrixFormatError(f"{path}: need a header and at least one data row")
+    header = reference_split_fields(lines[0])
+    m = len(header) - 1
+    if m < 1:
+        raise MatrixFormatError(f"{path}: header must name at least one feature")
+    labels = []
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        fields = reference_split_fields(line)
+        if len(fields) != m + 1:
+            raise MatrixFormatError(
+                f"{path}: row {i + 1} has {len(fields)} fields, expected {m + 1}"
+            )
+        labels.append(fields[0])
+        try:
+            rows.append([float(f) for f in fields[1:]])
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}: row {i + 1} ({fields[0]}): {exc}") from None
+    return FeatureTable(labels, np.array(rows))
+
+
+def reference_save_features(table, path):
+    m = table.features.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("label\t" + "\t".join(f"f{k}" for k in range(m)) + "\n")
+        for lbl, row in zip(table.labels, table.features):
+            fh.write(lbl + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+
+
+def reference_save_edge_list(graph, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("u\tv\tweight\tkind\n")
+        for u, v, w in graph.tree_edges:
+            fh.write(f"{u}\t{v}\t{w!r}\ttree\n")
+        for u, v, w in graph.noise_edges:
+            fh.write(f"{u}\t{v}\t{w!r}\tnoise\n")
+
+
+def reference_write_embedding(result, path):
+    emb = result.embedding
+    d = emb.points.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"curvature={emb.curvature!r}\tdim={d}\t"
+            f"scaling_factor={result.scaling_factor!r}\n"
+        )
+        for lbl, row in zip(emb.labels, emb.points):
+            fh.write(lbl + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+
+
+def reference_write_loss_trace(result, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for epoch, loss in enumerate(result.loss_trace):
+            fh.write(f"{epoch}\t{float(loss)!r}\n")
+
+
+def reference_write_dendrogram(dend, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for k, (a, b, h, size) in enumerate(dend.merges):
+            fh.write(f"{k}\t{a}\t{b}\t{h!r}\t{size}\n")
+
+
+#: Floats whose text form is easy to get wrong: the smallest subnormal, tiny
+#: and huge normals, a sum that is not its decimal literal, and integers,
+#: small and past the point where repr switches to an exponent.
+AWKWARD = (5e-324, 1e-300, 1e300, 0.1 + 0.2, 3.0, 0.0, 1.0, 2.5e-310, 123456789.0,
+           2.0**53, 1e16)
+
+
+def awkward_cases():
+    """(writer, reference writer, object) triples covering every table writer."""
+    n = len(AWKWARD)
+    labels = [f"s{i}" for i in range(n)]
+    vals = np.zeros((n, n))
+    vals[np.triu_indices(n, 1)] = np.resize(AWKWARD, n * (n - 1) // 2)
+    dm = DistanceMatrix(labels, vals + vals.T)
+    # 1e300 would overflow the row norms FeatureTable checks.
+    feats = np.resize([x for x in AWKWARD if x < 1e200], (n, 3)) * np.array([1.0, -1.0, 1.0])
+    ft = FeatureTable(labels, feats + np.eye(n, 3))
+    graph = add_noise_edges(random_binary_tree(6, 2), 0.5, 3)
+    weights = itertools.cycle(AWKWARD)
+    graph = NoisyGraph(
+        graph.vertices,
+        tuple((u, v, next(weights)) for u, v, _ in graph.tree_edges),
+        tuple((u, v, next(weights)) for u, v, _ in graph.noise_edges),
+        graph.leaf_labels,
+    )
+    tiny = np.array([[5e-324, 1e-300], [0.1 + 0.2, -0.5], [3.0 / 7.0, 0.0], [2.5e-310, -0.25]])
+    emb = PoincareEmbedding(["a", "b", "c", "d"], tiny, 1.0)
+    trace = np.array(AWKWARD)
+    results = [EmbeddingResult(emb, float(trace[-1]), trace, EncoderConfig(), s)
+               for s in (1e300, 0.1 + 0.2, 2.0)]
+    results.append(EmbeddingResult(
+        PoincareEmbedding(["a", "b", "c", "d"], tiny / 10.0, 100.0), 0.0, trace[:1],
+        EncoderConfig(), 5e-324))
+    # A caterpillar over n + 1 leaves, merged at every awkward height in turn.
+    merges, size = [], [1] * (n + 1)
+    for k, h in enumerate(sorted(AWKWARD)):
+        a, b = (0, 1) if k == 0 else (n + k, k + 1)
+        size.append(size[a] + size[b])
+        merges.append((a, b, h, size[-1]))
+    dend = Dendrogram(n + 1, tuple(merges), labels + ["s_last"])
+    cases = [(save_matrix, reference_save_matrix, dm),
+             (save_features, reference_save_features, ft),
+             (save_edge_list, reference_save_edge_list, graph),
+             (write_dendrogram, reference_write_dendrogram, dend)]
+    for res in results:
+        cases += [(write_embedding, reference_write_embedding, res),
+                  (write_loss_trace, reference_write_loss_trace, res)]
+    return cases
+
+
+AWKWARD_CASES = awkward_cases()
+
+
+def raised(fn, path):
+    """``(type, message)`` of the exception ``fn(path)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(path)
+    return type(info.value), str(info.value)
+
+
+#: Matrix files each reader rejects, named by their fault.
+BAD_MATRIX_FILES = {
+    "empty": "",
+    "blank_lines": "\n  \n\t\n",
+    "too_few_rows": "a\tb\tc\n0\t1\t2\n1\t0\t3\n",
+    "too_many_rows": "a\tb\n0\t1\n1\t0\n1\t0\n",
+    "short_row": "a\tb\tc\n0\t1\t2\n1\t0\n2\t3\t0\n",
+    "long_row": "a,b\n0,1,2\n1,0\n",
+    "not_a_number": "a\tb\n0\tone\n1\t0\n",
+    "negative": "a\tb\n0\t-1e-300\n-1e-300\t0\n",
+    "asymmetric": "a\tb\n0\t1.0\n0.5\t0\n",
+    "non_finite": "a\tb\n0\tinf\ninf\t0\n",
+    "duplicate_labels": "a\ta\n0\t1\n1\t0\n",
+}
+
+#: Feature files each reader rejects, named by their fault.
+BAD_FEATURE_FILES = {
+    "empty": "",
+    "header_only": "label\tf0\n",
+    "no_features": "label\nu\nv\n",
+    "short_row": "label\tf0\tf1\nu\t1.0\n",
+    "long_row": "label,f0\nu,1,2\n",
+    "not_a_number": "label\tf0\nu\t1\nv\tx1\n",
+    "zero_row": "label\tf0\tf1\nu\t1\t0\nv\t0\t0.0\n",
+    "non_finite": "label\tf0\nu\tnan\n",
+}
+
+
+class TestTableFormats:
+    @pytest.mark.parametrize("writer, reference, obj", AWKWARD_CASES,
+                             ids=[w.__name__ for w, _, _ in AWKWARD_CASES])
+    def test_writers_match_reference_bytes(self, tmp_path, writer, reference, obj):
+        writer(obj, tmp_path / "got.txt")
+        reference(obj, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_matrix_round_trip_matches_reference(self, tmp_path):
+        dm = AWKWARD_CASES[0][2]
+        save_matrix(dm, tmp_path / "m.txt")
+        got, want = load_matrix(tmp_path / "m.txt"), reference_load_matrix(tmp_path / "m.txt")
+        assert got.labels == want.labels == dm.labels
+        assert got.values.tobytes() == want.values.tobytes() == dm.values.tobytes()
+
+    def test_feature_round_trip_matches_reference(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("label,f0, f1\n\nu, 5e-324,1e150\n v ,3,-0.1\n")
+        got, want = load_features(path), reference_load_features(path)
+        assert got.labels == want.labels == ["u", "v"]
+        assert got.features.tobytes() == want.features.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BAD_MATRIX_FILES))
+    def test_matrix_reader_errors_match_reference(self, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(BAD_MATRIX_FILES[name])
+        got = raised(load_matrix, path)
+        assert got == raised(reference_load_matrix, path)
+        assert got[0] is MatrixFormatError
+
+    @pytest.mark.parametrize("name", sorted(BAD_FEATURE_FILES))
+    def test_feature_reader_errors_match_reference(self, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(BAD_FEATURE_FILES[name])
+        got = raised(load_features, path)
+        assert got == raised(reference_load_features, path)
+        assert got[0] is MatrixFormatError
 
 
 #: Path a - x - c whose edge a - x has weight 0, and a leaf b hanging off x.

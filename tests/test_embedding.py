@@ -128,8 +128,9 @@ def reference_train(dm, cfg):
     resid = dist - target
     cooldown_start = cfg.total_epochs - max(int(0.2 * cfg.total_epochs), 1)
     precond = None
+    burnin, margin = embedding_module.BURNIN_FACTOR, ball.DEFAULT_MARGIN
     for epoch in range(cfg.total_epochs):
-        lr = cfg.learning_rate * (cfg.burnin_factor if epoch >= cfg.burnin_epochs else 1.0)
+        lr = cfg.learning_rate * (burnin if epoch >= cfg.burnin_epochs else 1.0)
         if epoch >= cooldown_start:
             lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
         grad = reference_power_gradient(points, conf, q, resid, c, p)
@@ -144,7 +145,7 @@ def reference_train(dm, cfg):
         if epoch < cooldown_start or precond is None:
             precond = np.sqrt(v / (1.0 - 0.999**t)) + 1e-15
         step = -lr * m_hat / precond[:, None]
-        points = reference_clip(reference_exp_map(points, step, c), c, cfg.boundary_margin)
+        points = reference_clip(reference_exp_map(points, step, c), c, margin)
         conf, q, dist = reference_geometry(points, c)
         resid = dist - target
         trace[epoch] = (0.5 * float(np.sum(np.abs(resid) ** p))) ** (1.0 / p) / s
@@ -171,11 +172,6 @@ class TestEncoderConfig:
             {"learning_rate": 0.0},
             {"scaling_factor": -1.0},
             {"total_epochs": 0},
-            {"burnin_factor": 0.0},
-            {"boundary_margin": 0.0},
-            {"boundary_margin": 0.02},
-            {"boundary_margin": 1.0},
-            {"boundary_margin": 1.5},
         ],
     )
     def test_invalid(self, kw):
@@ -185,6 +181,12 @@ class TestEncoderConfig:
     def test_init_scheme_is_a_constant(self):
         assert EncoderConfig().init_scheme == "mds"
         assert "init_scheme" not in [f.name for f in dataclasses.fields(EncoderConfig)]
+
+    def test_burnin_factor_and_margin_are_constants(self):
+        assert [f.name for f in dataclasses.fields(EncoderConfig)] == [
+            "dimension", "curvature", "p", "learning_rate", "burnin_epochs",
+            "total_epochs", "scaling_factor", "seed"]
+        assert (embedding_module.BURNIN_FACTOR, ball.DEFAULT_MARGIN) == (10.0, 1e-5)
 
 
 class TestEmbeddingLoss:
@@ -456,7 +458,7 @@ class TestBoundaryCounts:
         assert res.boundary_rescales > 0
         assert 0 < res.points_at_limit <= dm.n
         radii = np.sqrt(cfg.curvature) * np.linalg.norm(res.embedding.points, axis=1)
-        assert np.sum(radii >= (1.0 - cfg.boundary_margin) * (1.0 - 1e-12)) >= res.points_at_limit
+        assert np.sum(radii >= (1.0 - ball.DEFAULT_MARGIN) * (1.0 - 1e-12)) >= res.points_at_limit
         again = train_embedding(dm, cfg)
         assert (again.boundary_rescales, again.points_at_limit) == (
             res.boundary_rescales, res.points_at_limit)

@@ -100,7 +100,56 @@ def dyadic_matrix(rng, n):
     return DistanceMatrix([str(i) for i in range(n)], vals + vals.T)
 
 
+def reference_distance_matrix_values(labels, values):
+    """The constructor's checks and averaging as they were with a separate
+    ``|D - D^T|`` and ``(D + D^T)/2``: the values it kept."""
+    vals = np.array(values, dtype=np.float64)
+    asym = np.abs(vals - vals.T)
+    worst = asym.max() if asym.size else 0.0
+    assert worst <= metrics.SYMMETRY_TOL
+    if worst > 0.0:
+        vals = (vals + vals.T) / 2.0
+    assert not (vals.size and vals.min() < -1e-12)
+    np.clip(vals, 0.0, None, out=vals)
+    np.fill_diagonal(vals, 0.0)
+    return vals
+
+
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 200])
+    def test_values_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        labels = [str(i) for i in range(n)]
+        upper = np.triu(rng.random((n, n)) * 10.0 + 1e-5, 1)
+        sym = upper + upper.T
+        off = 1.0 - np.eye(n)
+        # Asymmetric by up to 1e-6 in about half the entries.
+        jitter = sym + rng.uniform(-5e-7, 5e-7, size=(n, n)) * (rng.random((n, n)) < 0.5) * off
+        # Entries just below zero, symmetric and not, that the constructor clips.
+        zeros = np.triu(rng.random((n, n)) < 0.3, 1)
+        tiny_negative = np.where(zeros | zeros.T, -1e-13, sym)
+        tiny_negative[zeros] -= 4e-13
+        np.fill_diagonal(tiny_negative, -5e-13)
+        for vals in (sym, jitter, tiny_negative):
+            want = reference_distance_matrix_values(labels, vals)
+            assert DistanceMatrix(labels, vals).values.tobytes() == want.tobytes()
+
+    def test_peak_memory_one_temporary(self):
+        # The kept float64 copy plus one n x n temporary: 4 MiB at n = 512.
+        # Forming |D - D^T| and (D + D^T)/2 in fresh arrays peaked at 6 MiB.
+        rng = np.random.default_rng(3)
+        n = 512
+        upper = np.triu(rng.random((n, n)), 1)
+        labels = [str(i) for i in range(n)]
+        for vals in (upper + upper.T, upper + upper.T + 1e-9 * np.eye(n, k=1)):
+            tracemalloc.start()
+            try:
+                DistanceMatrix(labels, vals)
+                peak = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.5
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="asymmetry"):
             DistanceMatrix(["a", "b"], [[0, 1], [0.5, 0]])
