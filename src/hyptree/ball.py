@@ -111,11 +111,27 @@ def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
     return float(pairwise_distance_matrix(block, x.curvature)[0, 1])
 
 
+def _interior_point(coords: np.ndarray, c: float) -> PoincarePoint:
+    """The point at coordinates that are analytically interior.
+
+    Float rounding can land such a result on or past the boundary; it is
+    then nudged inside by one part in 1e15 instead of being rejected.
+    """
+    nrm = np.sqrt(c) * float(np.linalg.norm(coords))
+    if nrm >= 1.0:
+        coords = coords * ((1.0 - 1e-15) / nrm)
+    return PoincarePoint(coords, c)
+
+
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
-    """Mobius sum x (+)_c y.  Non-commutative and non-associative."""
+    """Mobius sum x (+)_c y.  Non-commutative and non-associative.
+
+    A sum that rounds onto the boundary is nudged inside (see
+    :func:`_interior_point`).
+    """
     _check_compatible(x, y)
     c = x.curvature
-    return PoincarePoint(mobius_add_points(x.coords[None], y.coords[None], c)[0], c)
+    return _interior_point(mobius_add_points(x.coords[None], y.coords[None], c)[0], c)
 
 
 def mobius_scale(t: float, x: PoincarePoint) -> PoincarePoint:
@@ -146,19 +162,11 @@ def geodesic_point(x: PoincarePoint, y: PoincarePoint, t: float) -> PoincarePoin
 def exp_map(v: TangentVector) -> PoincarePoint:
     """Exponential map: follow the geodesic leaving v.base with velocity v.
 
-    A zero direction returns the base point unchanged.  The result is
-    analytically interior, but float rounding can land it on the boundary;
-    such outputs are nudged inside by one part in 1e15.
+    A zero direction returns the base point unchanged.  A result that
+    rounds onto the boundary is nudged inside (see :func:`_interior_point`).
     """
-    base = v.base
-    c = base.curvature
-    out = exp_map_points(
-        base.coords[None, :], v.direction[None, :], c
-    )[0]
-    nrm = np.sqrt(c) * float(np.linalg.norm(out))
-    if nrm >= 1.0:
-        out = out * ((1.0 - 1e-15) / nrm)
-    return PoincarePoint(out, c)
+    c = v.base.curvature
+    return _interior_point(exp_map_points(v.base.coords[None], v.direction[None], c)[0], c)
 
 
 def project_to_ball(x, c: float, margin: float = DEFAULT_MARGIN) -> PoincarePoint:

@@ -55,9 +55,9 @@ class FeatureTable:
             )
         if not np.all(np.isfinite(feats)):
             raise MatrixFormatError("features contain non-finite values")
-        norms = np.linalg.norm(feats, axis=1)
-        if np.any(norms == 0.0):
-            bad = self.labels[int(np.argmin(norms))]
+        peaks = np.abs(feats).max(axis=1, initial=0.0)
+        if np.any(peaks == 0.0):
+            bad = self.labels[int(np.argmin(peaks))]
             raise MatrixFormatError(f"feature row {bad!r} is all zeros; cosine undefined")
         self.features = feats
 
@@ -145,8 +145,17 @@ def graph_leaf_shortest_paths(graph: NoisyGraph) -> DistanceMatrix:
 
 
 def cosine_dissimilarity(table: FeatureTable) -> DistanceMatrix:
-    """1 - cosine similarity of feature rows; entries lie in [0, 2]."""
+    """1 - cosine similarity of feature rows; entries lie in [0, 2].
+
+    Each row is first divided by a power of two (``np.frexp`` of its largest
+    |entry|) that brings that entry into [0.5, 1), so norms and products
+    neither overflow nor vanish however large or small a row's entries are.
+    The division is exact, so wherever the unscaled formula neither
+    overflowed nor underflowed it gives the same cosines bit for bit.
+    """
     feats = table.features
+    _, exps = np.frexp(np.abs(feats).max(axis=1))
+    feats = np.ldexp(feats, -exps[:, None])
     norms = np.linalg.norm(feats, axis=1)
     sim = (feats @ feats.T) / np.outer(norms, norms)
     vals = np.clip(1.0 - sim, 0.0, 2.0)

@@ -7,6 +7,9 @@ and the l_p distortion between two matrices.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,25 +97,78 @@ def gromov_product(dm: DistanceMatrix, i: int, j: int, r: int) -> float:
     return 0.5 * (d[r, i] + d[r, j] - d[i, j])
 
 
+def _order_pair(s1, s2, t):
+    """Put max(s1, s2) in ``s1`` and min(s1, s2) in ``t``; ``s2`` is then free."""
+    np.minimum(s1, s2, out=t)
+    np.maximum(s1, s2, out=s1)
+
+
+def _gap_with(hi, lo, s3):
+    """Largest minus middle of (hi, lo, s3), given hi >= lo elementwise, in place.
+
+    Overwrites ``hi`` and ``lo`` and returns ``hi``.  The middle value is
+    min(hi, max(lo, s3)), which needs no fourth buffer.
+    """
+    np.maximum(lo, s3, out=lo)
+    np.minimum(hi, lo, out=lo)
+    np.maximum(hi, s3, out=hi)
+    return np.subtract(hi, lo, out=hi)
+
+
 def _quad_gap(s1, s2, s3, t):
     """Largest minus middle of the three pair sums, elementwise, in place.
 
-    Overwrites all four buffers (``t`` is scratch) and returns ``s1``.  Both
-    terms are picked by comparison, so the order of the sums does not matter.
+    Overwrites ``s1`` and ``t`` (scratch) and returns ``s1``.  Both terms
+    are picked by comparison, so the order of the sums does not matter.
     """
-    np.minimum(s1, s2, out=t)
-    np.maximum(s1, s2, out=s1)
-    np.minimum(s1, s3, out=s2)
-    np.maximum(s1, s3, out=s1)
-    np.maximum(t, s2, out=t)
-    return np.subtract(s1, t, out=s1)
+    _order_pair(s1, s2, t)
+    return _gap_with(s1, t, s3)
 
 
-#: Elements per block of the exact scan, which keeps its buffers cache-sized;
-#: blocks also hold at most n² elements, so small inputs get small buffers.
-_BLOCK = 2**15
+#: Elements per block buffer of one worker of the exact scan.  numpy releases
+#: the GIL inside each block's ufuncs; blocks this large pay for the threads'
+#: hand-offs, and 2**17 was slower on one core and on two.
+_BLOCK = 2**16
+#: Elements (3.5 MiB of float64) that all workers of the exact scan share.
+#: Each worker holds three blocks, two gathered rows of half a block, and the
+#: buffers numpy's iterator takes in a broadcasting add (two operands of up
+#: to ``np.getbufsize()`` elements).
+_SCAN_BUDGET = 7 * 2**16
 #: Quadruples drawn and scanned at once by the sampler.
 _SAMPLE_CHUNK = 2**13
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _scan_slice(d, K, L, d_kl, start, first, stride, block) -> float:
+    """Largest pair-sum gap over the quadruples i < j < k < l with j in
+    ``range(first, n - 2, stride)``; see :func:`delta_exact`."""
+    tile = block // 2
+    bufs = np.empty((3, block))
+    jk, jl = np.empty((2, tile))
+    best = 0.0
+    for j in range(first, d.shape[0] - 2, stride):
+        for c in range(start[j + 1], K.size, tile):
+            k, l, kl = K[c : c + tile], L[c : c + tile], d_kl[c : c + tile]
+            # The indices are in range; "clip" lets take write to out unbuffered.
+            d_jk = np.take(d[j], k, out=jk[: kl.size], mode="clip")
+            d_jl = np.take(d[j], l, out=jl[: kl.size], mode="clip")
+            step = block // kl.size
+            for i0 in range(0, j, step):
+                rows = d[i0 : min(i0 + step, j)]
+                s1, s2, t = (b[: len(rows) * kl.size].reshape(-1, kl.size) for b in bufs)
+                np.add(rows[:, j, None], kl, out=s1)
+                np.add(np.take(rows, k, axis=1, out=s2, mode="clip"), d_jl, out=s2)
+                _order_pair(s1, s2, t)
+                np.add(np.take(rows, l, axis=1, out=s2, mode="clip"), d_jk, out=s2)
+                best = max(best, float(_gap_with(s1, t, s2).max()))
+    return best
 
 
 def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
@@ -121,12 +177,23 @@ def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     For each unordered quadruple the three pair sums S1 >= S2 >= S3 give
     the local slack (S1 - S2)/2; delta is the maximum over all C(n, 4)
     quadruples.  The pairs k < l are listed once in row-major order, so for
-    each j the pairs with j < k form a suffix of that list; the rows i < j
-    are taken against that suffix in blocks of about min(``_BLOCK``, n²)
-    elements, written into four buffers allocated once.  Every quadruple
-    i < j < k < l is thus evaluated exactly once, each pair sum as one
-    addition, and the gap is halved once after the maximum.  Matrices with
-    n < 4 have delta 0 by convention.
+    each j the pairs with j < k form a suffix of that list.  The suffix is
+    cut into tiles of half a block, and the rows i < j are taken against
+    each tile in blocks of at most ``_BLOCK`` elements, written into three
+    buffers allocated once per worker, the third pair sum after the first
+    two are ordered.  Every quadruple i < j < k < l is thus evaluated
+    exactly once, each pair sum as one addition, and the gap is halved once
+    after the maximum.
+
+    The values of j are dealt out in interleaved slices (j ≡ w mod W) to W
+    workers, one per CPU in the process's affinity set, but no more than
+    there are values of j or than ``_SCAN_BUDGET`` holds: the calling
+    thread scans one slice and W - 1 threads, joined before returning, scan
+    the others.  The workers' buffers share that budget, so more workers
+    get smaller blocks and the scan's memory does not grow with the core
+    count or with n beyond the n² of the pair list.  Delta is the maximum of
+    the workers' maxima, and max is exact, so it has the same bits for
+    every W.  Matrices with n < 4 have delta 0 by convention.
     """
     n = dm.n
     if n < 4:
@@ -135,21 +202,18 @@ def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     K, L = np.triu_indices(n, 1)
     d_kl = d[K, L]
     start = np.searchsorted(K, np.arange(n + 1))
-    block = min(_BLOCK, d.size)
-    bufs = np.empty((4, max(block, K.size - start[2])))
-    best = 0.0
-    for j in range(1, n - 2):
-        k, l, kl = K[start[j + 1] :], L[start[j + 1] :], d_kl[start[j + 1] :]
-        d_jk, d_jl = d[j, k], d[j, l]
-        step = max(1, block // kl.size)
-        for i0 in range(0, j, step):
-            rows = d[i0 : min(i0 + step, j)]
-            s1, s2, s3, t = (b[: len(rows) * kl.size].reshape(-1, kl.size) for b in bufs)
-            np.add(rows[:, j, None], kl, out=s1)
-            # The indices are in range; "clip" lets take write to out unbuffered.
-            np.add(np.take(rows, k, axis=1, out=s2, mode="clip"), d_jl, out=s2)
-            np.add(np.take(rows, l, axis=1, out=s3, mode="clip"), d_jk, out=s3)
-            best = max(best, float(_quad_gap(s1, s2, s3, t).max()))
+    # A worker holds 4 * block + 2 * bufsize elements; no block is smaller
+    # than one of numpy's iterator buffers.
+    bufsize = np.getbufsize()
+    workers = max(1, min(_cpu_count(), n - 3, _SCAN_BUDGET // (6 * bufsize)))
+    block = min(_BLOCK, (_SCAN_BUDGET // workers - 2 * bufsize) // 4)
+    scan = functools.partial(_scan_slice, d, K, L, d_kl, start, stride=workers, block=block)
+    if workers == 1:
+        best = scan(1)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = [pool.submit(scan, first) for first in range(2, workers + 1)]
+            best = max([scan(1)] + [f.result() for f in rest])
     return HyperbolicityReport(best / 2.0, "exact", n * (n - 1) * (n - 2) * (n - 3) // 24)
 
 

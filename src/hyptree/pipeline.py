@@ -40,10 +40,12 @@ TREE_DECODERS = ("nj",)
 ALL_DECODERS = TREE_DECODERS + LINKAGE_METHODS
 
 #: Beyond this many entities, delta is estimated from sampled quadruples.
-#: One exact scan takes about 2.7 s at n = 300 (2-vCPU x86-64).  The cutoff
-#: stays there because ``auto`` also runs at n = 512 (the ``decode-n512``
-#: benchmark), where a scan covers about 51x the quadruples of n = 192 and
-#: took 25 s, against 0.25 s for the default 1e6 samples.
+#: One exact scan uses every CPU in the process's affinity set, with the same
+#: bits for any count, and takes about 1.4 s at n = 300 on a 2-vCPU x86-64 VM
+#: (2.1 s on one of its CPUs).  The cutoff stays there because ``auto`` also
+#: runs at n = 512 (the ``decode-n512`` benchmark), where a scan covers about
+#: 51x the quadruples of n = 192 and takes 11 s on both CPUs, against 0.25 s
+#: for the default 1e6 samples.
 DELTA_EXACT_MAX_N = 300
 DELTA_DEFAULT_SAMPLES = 10**6
 

@@ -10,6 +10,7 @@ from hyptree.ball import (
     exp_map,
     geodesic_point,
     mobius_add,
+    mobius_add_points,
     mobius_scale,
     pairwise_distance_matrix,
     poincare_distance,
@@ -241,6 +242,28 @@ class TestMobius:
         ab = mobius_add(x, y).coords
         ba = mobius_add(y, x).coords
         assert np.linalg.norm(ab - ba) > 1e-6
+
+    def test_sum_rounding_onto_boundary_nudged_inside(self):
+        # At radii (1 - u m)/sqrt(c) with m = 1e-6 or 1e-7 some sums of two
+        # valid points round onto or past the boundary.  They come back nudged
+        # inside by one part in 1e15; every other sum keeps the block
+        # routine's bits.
+        rng = np.random.default_rng(30)
+        nudged = 0
+        for m in (1e-6, 1e-7):
+            for c in (1.0, 100.0):
+                for _ in range(2000):
+                    g = rng.standard_normal((2, 2))
+                    g *= (1.0 - m * rng.random((2, 1))) / (
+                        np.sqrt(c) * np.linalg.norm(g, axis=1, keepdims=True))
+                    raw = mobius_add_points(g[:1], g[1:], c)[0]
+                    got = mobius_add(PoincarePoint(g[0], c), PoincarePoint(g[1], c)).coords
+                    radius = np.sqrt(c) * float(np.linalg.norm(raw))
+                    if radius >= 1.0:
+                        nudged += 1
+                        raw = raw * ((1.0 - 1e-15) / radius)
+                    assert got.tobytes() == raw.tobytes()
+        assert nudged > 0
 
     def test_scale_identity_and_zero(self):
         x = pt([0.3, -0.2])

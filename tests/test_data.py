@@ -190,8 +190,7 @@ def awkward_cases():
     vals = np.zeros((n, n))
     vals[np.triu_indices(n, 1)] = np.resize(AWKWARD, n * (n - 1) // 2)
     dm = DistanceMatrix(labels, vals + vals.T)
-    # 1e300 would overflow the row norms FeatureTable checks.
-    feats = np.resize([x for x in AWKWARD if x < 1e200], (n, 3)) * np.array([1.0, -1.0, 1.0])
+    feats = np.resize(AWKWARD, (n, 3)) * np.array([1.0, -1.0, 1.0])
     ft = FeatureTable(labels, feats + np.eye(n, 3))
     graph = add_noise_edges(random_binary_tree(6, 2), 0.5, 3)
     weights = itertools.cycle(AWKWARD)
@@ -506,6 +505,32 @@ class TestCosine:
     def test_zero_row_named(self):
         with pytest.raises(MatrixFormatError, match="bad_row"):
             FeatureTable(["ok", "bad_row"], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_huge_and_tiny_rows(self):
+        # Unscaled, the norm of (1e300, 1) overflows, which made its cosines
+        # 0, and a row near 1e-200 underflowed to a zero norm and was rejected.
+        ft = FeatureTable(["u", "v", "w", "t"],
+                          [[1e300, 1.0], [1.0, 2.0], [3.0, 1.0], [1e-200, 3e-200]])
+        d = cosine_dissimilarity(ft).values
+        assert d[0, 1] == pytest.approx(1.0 - 1.0 / np.sqrt(5.0), abs=1e-15)
+        assert d[0, 2] == pytest.approx(1.0 - 3.0 / np.sqrt(10.0), abs=1e-15)
+        assert d[3, 1] == pytest.approx(1.0 - 7.0 / np.sqrt(50.0), abs=1e-15)
+        assert d[3, 2] == pytest.approx(1.0 - 6.0 / np.sqrt(100.0), abs=1e-15)
+
+    def test_ordinary_rows_keep_their_bits(self):
+        # Dividing a row by a power of two is exact, so rows whose norms
+        # never overflowed give the cosines of the unscaled formula.
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n, d = rng.integers(2, 30, size=2)
+            feats = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-100, 100, size=(n, 1))
+            norms = np.linalg.norm(feats, axis=1)
+            vals = np.clip(1.0 - (feats @ feats.T) / np.outer(norms, norms), 0.0, 2.0)
+            np.fill_diagonal(vals, 0.0)
+            labels = [str(i) for i in range(n)]
+            want = DistanceMatrix(labels, (vals + vals.T) / 2.0).values
+            got = cosine_dissimilarity(FeatureTable(labels, feats)).values
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixFiles:

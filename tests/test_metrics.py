@@ -1,6 +1,8 @@
 """Distance-matrix container, hyperbolicity, and cost checks."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,15 @@ FOUR_CYCLE = DistanceMatrix(
     ["w", "x", "y", "z"],
     [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
 )
+
+
+#: Worker counts the exact scan is checked at, whatever the machine's cores.
+#: At n = 5 there are two values of j, so 3 and 5 workers exceed the slices.
+WORKER_COUNTS = (1, 2, 3, 5)
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: count)
 
 
 def delta_definition_oracle(values: np.ndarray) -> float:
@@ -220,19 +231,54 @@ class TestDeltaExact:
             dm = dyadic_matrix(rng, int(rng.integers(4, 9)))
             assert delta_exact(dm).delta == delta_definition_oracle(dm.values)
 
-    def test_bitwise_matches_pair_sum_reference(self):
+    def test_bitwise_matches_pair_sum_reference(self, monkeypatch):
         rng = np.random.default_rng(17)
         for n in range(4, 25):
             for dm in reference_inputs(rng, n):
-                assert delta_exact(dm).delta == delta_pair_sum_reference(dm.values)
+                want = delta_pair_sum_reference(dm.values)
+                for workers in WORKER_COUNTS:
+                    force_workers(monkeypatch, workers)
+                    assert delta_exact(dm).delta == want, (n, workers)
 
     def test_small_blocks_match_reference(self, monkeypatch):
-        # With 7-element blocks, j = 15 (one (k, l) pair) and j = 14 (three)
-        # take their rows i < j in several blocks.
+        # With 7-element blocks the pair list is cut into 3-pair tiles, and
+        # j = 15 (one (k, l) pair) and j = 14 (three) take their rows i < j
+        # in several blocks.
         monkeypatch.setattr(metrics, "_BLOCK", 7)
         rng = np.random.default_rng(18)
         for dm in reference_inputs(rng, 18):
-            assert delta_exact(dm).delta == delta_pair_sum_reference(dm.values)
+            want = delta_pair_sum_reference(dm.values)
+            for workers in WORKER_COUNTS:
+                force_workers(monkeypatch, workers)
+                assert delta_exact(dm).delta == want, workers
+
+    def test_slices_run_in_threads_joined_by_return(self, monkeypatch):
+        # Slice 1 runs on the calling thread and each other slice once on a
+        # pool thread; no thread outlives the call.  A short switch interval
+        # makes the threads interleave inside the scan.
+        scan, seen = metrics._scan_slice, []
+
+        def spy(*args, **kwargs):
+            seen.append((args[-1], threading.get_ident()))
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_scan_slice", spy)
+        dm = reference_inputs(np.random.default_rng(20), 24)[0]
+        want = delta_pair_sum_reference(dm.values)
+        caller = threading.get_ident()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in WORKER_COUNTS:
+                force_workers(monkeypatch, workers)
+                seen.clear()
+                before = threading.active_count()
+                assert delta_exact(dm).delta == want
+                assert threading.active_count() == before
+                assert sorted(first for first, _ in seen) == list(range(1, workers + 1))
+                assert [first for first, ident in seen if ident == caller] == [1]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDeltaSampled:
@@ -269,7 +315,7 @@ class TestDeltaSampled:
         dm = dyadic_matrix(rng, 5)
         assert delta_sampled(dm, 5000, seed=0).delta == delta_exact(dm).delta
 
-    def test_peak_memory_bounded(self):
+    def test_peak_memory_bounded(self, monkeypatch):
         rng = np.random.default_rng(19)
 
         def peak_mib(fn, n):
@@ -285,7 +331,10 @@ class TestDeltaSampled:
         # grow with m.
         assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 64) < 100
         assert peak_mib(lambda dm: delta_sampled(dm, 4 * 10**6, seed=0), 512) < 2
-        assert peak_mib(delta_exact, 160) < 4
+        # The exact scan's workers share one buffer budget.
+        for workers in (1, 2, 4):
+            force_workers(monkeypatch, workers)
+            assert peak_mib(delta_exact, 160) < 4, workers
 
     def test_bitwise_matches_compacting_reference(self):
         # At n = 4 only 24 of 256 draws have four distinct points, so the
