@@ -135,14 +135,17 @@ def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
 
 
 def mobius_scale(t: float, x: PoincarePoint) -> PoincarePoint:
-    """Mobius scalar product t (x)_c x; the origin is a fixed point."""
+    """Mobius scalar product t (x)_c x; the origin is a fixed point.
+
+    A product that rounds onto the boundary (tanh reaches 1 for large |t|)
+    is nudged inside (see :func:`_interior_point`).
+    """
     c = x.curvature
     nrm = float(np.linalg.norm(x.coords))
     if nrm < _ZERO_NORM:
         return PoincarePoint(np.zeros_like(x.coords), c)
     sc = np.sqrt(c) * nrm
-    out = np.tanh(t * np.arctanh(sc)) * x.coords / sc
-    return PoincarePoint(out, c)
+    return _interior_point(np.tanh(t * np.arctanh(sc)) * x.coords / sc, c)
 
 
 def geodesic_point(x: PoincarePoint, y: PoincarePoint, t: float) -> PoincarePoint:

@@ -1,10 +1,13 @@
 """Command-line driver: synth, denoise, decode, eval, delta, pipeline, compare-objectives.
 
-Every option can also come from a plain-text config file of ``key = value``
-lines passed via ``--config``; explicit flags win over the file, and a key
-that no option of any command reads is an error.  All randomized commands
-are deterministic for a fixed ``--seed``: reruns produce byte-identical
-reports, matrices, and Newick files.
+Option defaults can also come from a plain-text config file of
+``key = value`` lines passed via ``--config``.  A key may name any option of
+any command that takes a value and is not required; ``--features``,
+``--config`` and the required options come only from flags, and any other
+key is an error.  Explicit flags win over the file, and the option's own
+type and choices check a config value, so a malformed one is a usage error
+(exit status 2).  All randomized commands are deterministic for a fixed
+``--seed``: reruns produce byte-identical reports, matrices, and Newick files.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import (
-    MatrixFormatError,
     add_noise_edges,
     cosine_dissimilarity,
     graph_leaf_shortest_paths,
@@ -28,6 +30,7 @@ from .data import (
 )
 from .decoders import write_dendrogram
 from .embedding import (
+    TARGET_SPREAD,
     EmbeddingResult,
     EncoderConfig,
     EncodingError,
@@ -40,13 +43,15 @@ from .metrics import DistanceMatrix, lp_cost
 from .newick import parse_newick, write_newick
 from .pipeline import (
     ALL_DECODERS,
+    DELTA_DEFAULT_SAMPLES,
+    DELTA_MODES,
     DecodeOutcome,
     compare_objectives,
     decode_and_score,
     measure_delta,
     run_pipeline,
 )
-from .trees import TreeStructureError, dasgupta_cost, leaf_distance_matrix
+from .trees import dasgupta_cost, leaf_distance_matrix
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -56,24 +61,10 @@ def _read_config(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise MatrixFormatError(f"{path}: line {lineno}: expected 'key = value'")
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, val = line.split("=", 1)
         out[key.strip().replace("-", "_")] = val.strip()
     return out
-
-
-class _Defaults:
-    """Hard defaults overridable from the config file, with type conversion."""
-
-    def __init__(self, config: dict[str, str]):
-        self.config = config
-        self.used: set[str] = set()
-
-    def get(self, key: str, hard, conv):
-        self.used.add(key)
-        if key in self.config:
-            return conv(self.config[key])
-        return hard
 
 
 def _load_input(args) -> DistanceMatrix:
@@ -104,29 +95,23 @@ def _encoder_config(args) -> EncoderConfig:
     )
 
 
-def _add_encoder_args(sp, d: _Defaults) -> None:
+def _add_encoder_args(sp) -> None:
     for f, dest in _encoder_fields():
-        conv = float if f.default is None else type(f.default)
         sp.add_argument(
             "--" + dest.replace("_", "-"),
-            type=conv,
-            default=d.get(dest, f.default, conv),
+            type=float if f.default is None else type(f.default),
+            default=f.default,
             help=(
-                "input rescale during optimization; default picks max * s = 2"
+                "input rescale during optimization; "
+                f"default picks max * s = {TARGET_SPREAD:g}"
                 if f.name == "scaling_factor" else None
             ),
         )
 
 
-def _add_delta_args(sp, d: _Defaults) -> None:
-    sp.add_argument(
-        "--delta-mode",
-        choices=("auto", "exact", "sampled"),
-        default=d.get("delta_mode", "auto", str),
-    )
-    sp.add_argument(
-        "--delta-samples", type=int, default=d.get("delta_samples", 10**6, int)
-    )
+def _add_delta_args(sp) -> None:
+    sp.add_argument("--delta-mode", choices=DELTA_MODES, default="auto")
+    sp.add_argument("--delta-samples", type=int, default=DELTA_DEFAULT_SAMPLES)
 
 
 def _write_outcome(outdir: Path, name: str, outcome: DecodeOutcome) -> list[Path]:
@@ -258,35 +243,58 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _build_parser(d: _Defaults) -> argparse.ArgumentParser:
+def _set_config_defaults(commands: dict[str, argparse.ArgumentParser],
+                         config: dict[str, str]) -> None:
+    """Make each config value the default of the commands' options of that name.
+
+    A key may name any option that takes a value and is not required.  A value
+    outside the option's choices is rejected here; argparse converts the rest
+    with the option's ``type`` when the command's flag itself is absent.
+    """
+    options = [
+        (sp, {a.dest: a for a in sp._actions
+              if a.option_strings and a.nargs != 0 and not a.required})
+        for sp in commands.values()
+    ]
+    unknown = sorted(config.keys() - {key for _, opts in options for key in opts})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    for sp, opts in options:
+        values = {key: val for key, val in config.items() if key in opts}
+        for key, val in values.items():
+            if opts[key].choices and val not in opts[key].choices:
+                raise ValueError(f"config {key} = {val!r}: not one of {opts[key].choices}")
+        sp.set_defaults(**values)
+
+
+def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The hyptree parser, with ``config`` values as option defaults."""
     parser = argparse.ArgumentParser(
         prog="hyptree",
         description="Denoise dissimilarity matrices in hyperbolic space and fit trees.",
     )
-    parser.add_argument(
-        "--config", help="key = value file of option defaults", default=None
-    )
+    parser.add_argument("--config", help="key = value file of option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a noisy synthetic benchmark")
     sp.add_argument("--n", type=int, required=True, help="number of leaves")
-    sp.add_argument("--noise-rate", type=float, default=d.get("noise_rate", 0.1, float))
-    sp.add_argument("--seed", type=int, default=d.get("seed", 0, int))
+    sp.add_argument("--noise-rate", type=float, default=0.1)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output-dir", required=True)
     sp.set_defaults(func=_cmd_synth)
 
     sp = sub.add_parser("denoise", help="learn a hyperbolic metric for a matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--features", action="store_true", help="input is a feature table")
-    sp.add_argument("--seed", type=int, default=d.get("seed", 0, int))
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output-dir", required=True)
-    _add_encoder_args(sp, d)
+    _add_encoder_args(sp)
     sp.set_defaults(func=_cmd_denoise)
 
     sp = sub.add_parser("decode", help="fit a tree or dendrogram to a matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--method", choices=ALL_DECODERS, required=True)
-    sp.add_argument("--p", type=float, default=d.get("p", 2.0, float))
+    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--output-dir", required=True)
     sp.set_defaults(func=_cmd_decode)
 
@@ -294,61 +302,52 @@ def _build_parser(d: _Defaults) -> argparse.ArgumentParser:
     sp.add_argument("--tree", required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--cost", choices=("lp", "dasgupta"), default="lp")
-    sp.add_argument("--p", type=float, default=d.get("p", 2.0, float))
+    sp.add_argument("--p", type=float, default=2.0)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("delta", help="measure four-point hyperbolicity")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--seed", type=int, default=d.get("seed", 0, int))
-    _add_delta_args(sp, d)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_delta_args(sp)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("pipeline", help="denoise, decode both versions, report")
     sp.add_argument("--input", required=True)
     sp.add_argument("--features", action="store_true", help="input is a feature table")
-    sp.add_argument("--seed", type=int, default=d.get("seed", 0, int))
-    sp.add_argument("--dataset-name", default=d.get("dataset_name", "input", str))
-    sp.add_argument(
-        "--decoders", default=d.get("decoders", ",".join(ALL_DECODERS), str)
-    )
-    sp.add_argument("--delta-seed", type=int, default=d.get("delta_seed", 0, int))
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--dataset-name", default="input")
+    sp.add_argument("--decoders", default=",".join(ALL_DECODERS))
+    sp.add_argument("--delta-seed", type=int, default=0)
     sp.add_argument("--output-dir", default=None)
-    _add_encoder_args(sp, d)
-    _add_delta_args(sp, d)
+    _add_encoder_args(sp)
+    _add_delta_args(sp)
     sp.set_defaults(func=_cmd_pipeline)
 
-    sp = sub.add_parser(
-        "compare-objectives", help="distance-fit vs clan-size objective study"
-    )
+    sp = sub.add_parser("compare-objectives", help="distance-fit vs clan-size objective study")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=d.get("trials", 20, int))
-    sp.add_argument("--pool-size", type=int, default=d.get("pool_size", 1000, int))
-    sp.add_argument("--seed", type=int, default=d.get("seed", 0, int))
+    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--pool-size", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_compare)
 
+    _set_config_defaults(sub.choices, config or {})
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config: dict[str, str] = {}
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a file path", file=sys.stderr)
-            return 2
-        try:
-            config = _read_config(argv[idx + 1])
-        except (OSError, MatrixFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        del argv[idx : idx + 2]
-    defaults = _Defaults(config)
-    parser = _build_parser(defaults)
-    unknown = sorted(set(config) - defaults.used)
-    if unknown:
-        print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 >= len(argv):
+                raise ValueError("--config needs a file path")
+            config = _read_config(argv.pop(idx + 1))
+            del argv[idx]
+        parser = _build_parser(config)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         args = parser.parse_args(argv)
@@ -356,14 +355,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (
-        MatrixFormatError,
-        TreeStructureError,
-        EncodingError,
-        NotImplementedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (EncodingError, NotImplementedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import scipy.linalg
 from . import ball
 from .ball import PoincarePoint, TangentVector
 from .data import write_table
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, check_exponent
 
 #: Default spread of the rescaled input: scaling_factor is chosen so that the
 #: largest target distance equals this value.  Must stay well below the
@@ -86,18 +86,15 @@ class EncoderConfig:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("embedding dimension must be at least 2")
-        if self.curvature <= 0.0:
-            raise ValueError("curvature must be positive")
-        if self.p < 1.0:
-            raise ValueError("norm exponent p must be >= 1")
+        for name in ("curvature", "learning_rate", "scaling_factor"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_exponent(self.p)
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be at least 1")
         if not 0 <= self.burnin_epochs <= self.total_epochs:
             raise ValueError("need total_epochs >= burnin_epochs >= 0")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.scaling_factor is not None and self.scaling_factor <= 0.0:
-            raise ValueError("scaling_factor must be positive")
 
 
 @dataclass
@@ -143,8 +140,7 @@ class EmbeddingResult:
 
 def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> float:
     """l_p distortion between embedded distances and the matrix entries."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_exponent(p)
     if len(emb.labels) != dm.n:
         raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
     dist = ball.pairwise_distance_matrix(emb.points, emb.curvature)

@@ -291,10 +291,15 @@ def ultrametric_check(dm: DistanceMatrix, tol: float) -> bool:
     return True
 
 
+def check_exponent(p: float) -> None:
+    """Reject an l_p exponent outside [1, inf); inf and nan give no l_p norm here."""
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"norm exponent p must be finite and >= 1, got {p}")
+
+
 def lp_cost(fitted: DistanceMatrix, target: DistanceMatrix, p: float = 2.0) -> float:
     """l_p distortion (sum over unordered pairs of |fit - target|^p)^(1/p)."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_exponent(p)
     if fitted.labels != target.labels:
         raise ValueError("matrices are labeled differently; align them first")
     diff = np.abs(fitted.values - target.values)[np.triu_indices(fitted.n, 1)]

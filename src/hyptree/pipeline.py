@@ -48,6 +48,8 @@ ALL_DECODERS = TREE_DECODERS + LINKAGE_METHODS
 #: for the default 1e6 samples.
 DELTA_EXACT_MAX_N = 300
 DELTA_DEFAULT_SAMPLES = 10**6
+#: The modes :func:`measure_delta` accepts.
+DELTA_MODES = ("auto", "exact", "sampled")
 
 
 def measure_delta(

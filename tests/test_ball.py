@@ -280,6 +280,13 @@ class TestMobius:
         assert out.coords[0] == pytest.approx(0.6896551724137931, abs=1e-14)
         assert out.coords[1] == 0.0
 
+    def test_scale_rounding_onto_boundary_stays_inside(self):
+        # tanh(30 atanh(0.9)) rounds to 1; the product is nudged inside.
+        for t in (30.0, -30.0):
+            out = mobius_scale(t, PoincarePoint([0.9, 0.0], 1.0))
+            assert 1.0 - 1e-14 < np.sign(t) * out.coords[0] < 1.0
+            assert out.coords[1] == 0.0
+
 
 class TestGeodesic:
     def test_endpoints(self):

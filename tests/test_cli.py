@@ -236,18 +236,18 @@ class TestPipelineCommand:
 
 class TestEncoderOptions:
     def test_parsed_defaults_equal_encoder_config(self):
-        from hyptree.cli import _build_parser, _Defaults, _encoder_config
+        from hyptree.cli import _build_parser, _encoder_config
         from hyptree.embedding import EncoderConfig
 
-        parser = _build_parser(_Defaults({}))
+        parser = _build_parser()
         for command in ("pipeline", "denoise"):
             args = parser.parse_args([command, "--input", "m.txt", "--output-dir", "out"])
             assert _encoder_config(args) == EncoderConfig()
 
     def test_flags_reach_encoder_config(self):
-        from hyptree.cli import _build_parser, _Defaults, _encoder_config
+        from hyptree.cli import _build_parser, _encoder_config
 
-        parser = _build_parser(_Defaults({"curvature": "10"}))
+        parser = _build_parser({"curvature": "10"})
         args = parser.parse_args([
             "pipeline", "--input", "m.txt", "--dim", "3", "--epochs", "50",
             "--burnin-epochs", "5", "--seed", "4",
@@ -331,6 +331,44 @@ class TestConfigFile:
         assert "pairs_per_step" in err and "lerning_rate" in err and "init_radius" in err
         assert "boundary_margin" in err and "burnin_factor" in err
         assert "epochs" not in err
+
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        cases = [
+            ("noise_rate = abc\n", "--noise-rate", [
+                "synth", "--n", "6", "--output-dir", str(tmp_path / "out")]),
+            ("epochs = 1.5\n", "--epochs", [
+                "pipeline", "--input", str(src / "matrix.txt"),
+                "--output-dir", str(tmp_path / "out")]),
+            ("delta-mode = fast\n", "delta_mode", [
+                "delta", "--input", str(src / "matrix.txt")]),
+        ]
+        for text, option, argv in cases:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(text)
+            assert main(["--config", str(cfg), *argv]) == 2
+            assert option in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_config_sets_cost(self, tmp_path, capsys):
+        path = tree_metric_file(tmp_path)
+        out = tmp_path / "t"
+        main(["decode", "--input", str(path), "--method", "nj", "--output-dir", str(out)])
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cost = dasgupta\n")
+        rc = main(["--config", str(cfg), "eval", "--tree", str(out / "nj.nwk"),
+                   "--input", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("dasgupta_cost = ")
+
+    def test_flag_only_options_rejected(self, tmp_path, capsys):
+        for text in ("features = true\n", "input = m.txt\n", "config = other.cfg\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            assert main(["--config", str(cfg), "delta", "--input", "x"]) == 2
+            assert "unknown config key" in capsys.readouterr().err
 
 
 class TestCompareObjectivesCommand:

@@ -172,10 +172,18 @@ class TestEncoderConfig:
             {"learning_rate": 0.0},
             {"scaling_factor": -1.0},
             {"total_epochs": 0},
+            {"p": float("inf")},
+            {"p": float("nan")},
+            {"curvature": float("inf")},
+            {"curvature": float("nan")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"scaling_factor": float("inf")},
+            {"scaling_factor": float("nan")},
         ],
     )
     def test_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kw)):
             EncoderConfig(**kw)
 
     def test_init_scheme_is_a_constant(self):
@@ -225,6 +233,13 @@ class TestEmbeddingLoss:
                     terms.append(abs(dij - dm.values[i, j]) ** p)
             expected = math.fsum(sorted(terms)) ** (1.0 / p)
             assert embedding_loss(emb, dm, p) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+    def test_p_below_one_or_not_finite_rejected(self, p):
+        rng = np.random.default_rng(52)
+        emb = random_embedding(rng, 4, 2, 1.0)
+        with pytest.raises(ValueError, match="norm exponent p"):
+            embedding_loss(emb, random_dm(rng, 4), p)
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(52)

@@ -435,8 +435,11 @@ class TestLpCost:
                 assert lp_cost(a, b, p) == want, (n, p)
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            lp_cost(QUARTET, QUARTET, 0.5)
+        # A non-finite p is rejected too: with p = inf the 1/p root is
+        # x**0 = 1 for any distortion, and nan propagates.
+        for p in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="norm exponent p"):
+                lp_cost(QUARTET, QUARTET, p)
 
     def test_label_mismatch_rejected(self):
         other = DistanceMatrix(["a", "b", "c", "e"], QUARTET.values)
