@@ -4,9 +4,9 @@ Option defaults can also come from a plain-text config file of
 ``key = value`` lines passed via ``--config``.  A key may name any option of
 any command that takes a value and is not required; ``--features``,
 ``--config`` and the required options come only from flags, and any other
-key is an error.  Explicit flags win over the file, and the option's own
-type and choices check a config value, so a malformed one is a usage error
-(exit status 2).  All randomized commands are deterministic for a fixed
+key is an error.  Explicit flags win over the file.  Every option named by a
+key checks its value, so a malformed one is a usage error (exit status 2)
+whatever the command.  All randomized commands are deterministic for a fixed
 ``--seed``: reruns produce byte-identical reports, matrices, and Newick files.
 """
 
@@ -39,7 +39,7 @@ from .embedding import (
     write_embedding,
     write_loss_trace,
 )
-from .metrics import DistanceMatrix, lp_cost
+from .metrics import DistanceMatrix, check_exponent, lp_cost
 from .newick import parse_newick, write_newick
 from .pipeline import (
     ALL_DECODERS,
@@ -65,6 +65,14 @@ def _read_config(path: str) -> dict[str, str]:
         key, val = line.split("=", 1)
         out[key.strip().replace("-", "_")] = val.strip()
     return out
+
+
+def _exponent(text: str) -> float:
+    """Type of every ``--p``: a float that ``check_exponent`` accepts."""
+    try:
+        return check_exponent(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_input(args) -> DistanceMatrix:
@@ -97,9 +105,10 @@ def _encoder_config(args) -> EncoderConfig:
 
 def _add_encoder_args(sp) -> None:
     for f, dest in _encoder_fields():
+        kind = float if f.default is None else type(f.default)
         sp.add_argument(
             "--" + dest.replace("_", "-"),
-            type=float if f.default is None else type(f.default),
+            type=_exponent if f.name == "p" else kind,
             default=f.default,
             help=(
                 "input rescale during optimization; "
@@ -247,9 +256,8 @@ def _set_config_defaults(commands: dict[str, argparse.ArgumentParser],
                          config: dict[str, str]) -> None:
     """Make each config value the default of the commands' options of that name.
 
-    A key may name any option that takes a value and is not required.  A value
-    outside the option's choices is rejected here; argparse converts the rest
-    with the option's ``type`` when the command's flag itself is absent.
+    A key may name any option that takes a value and is not required.  Every
+    option of that name converts it and checks its choices, whichever command runs.
     """
     options = [
         (sp, {a.dest: a for a in sp._actions
@@ -260,11 +268,15 @@ def _set_config_defaults(commands: dict[str, argparse.ArgumentParser],
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for sp, opts in options:
-        values = {key: val for key, val in config.items() if key in opts}
-        for key, val in values.items():
-            if opts[key].choices and val not in opts[key].choices:
-                raise ValueError(f"config {key} = {val!r}: not one of {opts[key].choices}")
-        sp.set_defaults(**values)
+        for key in sorted(config.keys() & opts.keys()):
+            action, text = opts[key], config[key]
+            try:
+                value = action.type(text) if action.type else text
+                if action.choices and value not in action.choices:
+                    raise ValueError(f"not one of {action.choices}")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config {key} = {text!r}: bad {action.option_strings[0]}: {exc}")
+            sp.set_defaults(**{key: value})
 
 
 def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
@@ -294,7 +306,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     sp = sub.add_parser("decode", help="fit a tree or dendrogram to a matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--method", choices=ALL_DECODERS, required=True)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=_exponent, default=2.0)
     sp.add_argument("--output-dir", required=True)
     sp.set_defaults(func=_cmd_decode)
 
@@ -302,7 +314,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     sp.add_argument("--tree", required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--cost", choices=("lp", "dasgupta"), default="lp")
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=_exponent, default=2.0)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("delta", help="measure four-point hyperbolicity")

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .metrics import DistanceMatrix
 from .trees import TreeStructureError, WeightedTree
@@ -126,6 +124,8 @@ def graph_leaf_shortest_paths(graph: NoisyGraph) -> DistanceMatrix:
     edges keep the smaller weight, and a zero weight is an explicit entry,
     so it stays an edge.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
     verts = sorted(graph.vertices)
     pos = {v: k for k, v in enumerate(verts)}
     weight: dict[tuple[int, int], float] = {}

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from .data import write_table
 from .metrics import DistanceMatrix
@@ -173,6 +171,8 @@ def linkage(dm: DistanceMatrix, method: str) -> Dendrogram:
         raise ValueError("linkage needs at least one entity")
     if n == 1:
         return Dendrogram(1, (), list(dm.labels))
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
     z = hierarchy.linkage(squareform(dm.values, checks=False), method)
     merges = tuple(
         (int(min(a, b)), int(max(a, b)), float(h), int(size)) for a, b, h, size in z
@@ -189,6 +189,8 @@ def dendrogram_to_ultrametric(dend: Dendrogram) -> DistanceMatrix:
     """Cophenetic matrix: entry (i, j) is the height of the merge uniting them."""
     if dend.n == 1:
         return DistanceMatrix(list(dend.labels), np.zeros((1, 1)))
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
     coph = hierarchy.cophenet(np.array(dend.merges, dtype=np.float64))
     return DistanceMatrix(list(dend.labels), squareform(coph))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from . import ball
 from .ball import PoincarePoint, TangentVector
@@ -248,6 +247,7 @@ def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     dimensions (always so for n < 3) the layout has n columns, and the rest
     are zero.
     """
+    import scipy.linalg
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * centering @ (values**2) @ centering

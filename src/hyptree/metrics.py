@@ -129,6 +129,9 @@ def _quad_gap(s1, s2, s3, t):
 #: the GIL inside each block's ufuncs; blocks this large pay for the threads'
 #: hand-offs, and 2**17 was slower on one core and on two.
 _BLOCK = 2**16
+#: Below this many entities the exact scan runs on one worker: on a 2-vCPU VM
+#: two took 7.7 ms against 5.5 ms at n = 64, and won from n = 80 (11.5 / 13).
+_PARALLEL_MIN_N = 80
 #: Elements (3.5 MiB of float64) that all workers of the exact scan share.
 #: Each worker holds three blocks, two gathered rows of half a block, and the
 #: buffers numpy's iterator takes in a broadcasting add (two operands of up
@@ -186,14 +189,15 @@ def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     after the maximum.
 
     The values of j are dealt out in interleaved slices (j ≡ w mod W) to W
-    workers, one per CPU in the process's affinity set, but no more than
-    there are values of j or than ``_SCAN_BUDGET`` holds: the calling
-    thread scans one slice and W - 1 threads, joined before returning, scan
-    the others.  The workers' buffers share that budget, so more workers
-    get smaller blocks and the scan's memory does not grow with the core
-    count or with n beyond the n² of the pair list.  Delta is the maximum of
-    the workers' maxima, and max is exact, so it has the same bits for
-    every W.  Matrices with n < 4 have delta 0 by convention.
+    workers, one per CPU in the process's affinity set (one below
+    ``_PARALLEL_MIN_N`` entities), but no more than there are values of j or
+    than ``_SCAN_BUDGET`` holds: the calling thread scans one slice and W - 1
+    threads, joined before returning, scan the others.  The workers' buffers
+    share that budget, so more workers get smaller blocks and the scan's
+    memory does not grow with the core count or with n beyond the n² of the
+    pair list.  Delta is the maximum of the workers' maxima, and max is
+    exact, so it has the same bits for every W.  Matrices with n < 4 have
+    delta 0 by convention.
     """
     n = dm.n
     if n < 4:
@@ -205,7 +209,8 @@ def delta_exact(dm: DistanceMatrix) -> HyperbolicityReport:
     # A worker holds 4 * block + 2 * bufsize elements; no block is smaller
     # than one of numpy's iterator buffers.
     bufsize = np.getbufsize()
-    workers = max(1, min(_cpu_count(), n - 3, _SCAN_BUDGET // (6 * bufsize)))
+    cpus = _cpu_count() if n >= _PARALLEL_MIN_N else 1
+    workers = max(1, min(cpus, n - 3, _SCAN_BUDGET // (6 * bufsize)))
     block = min(_BLOCK, (_SCAN_BUDGET // workers - 2 * bufsize) // 4)
     scan = functools.partial(_scan_slice, d, K, L, d_kl, start, stride=workers, block=block)
     if workers == 1:
@@ -291,10 +296,11 @@ def ultrametric_check(dm: DistanceMatrix, tol: float) -> bool:
     return True
 
 
-def check_exponent(p: float) -> None:
-    """Reject an l_p exponent outside [1, inf); inf and nan give no l_p norm here."""
+def check_exponent(p: float) -> float:
+    """``p``, or ValueError outside [1, inf); inf and nan give no l_p norm here."""
     if not 1.0 <= p < np.inf:
         raise ValueError(f"norm exponent p must be finite and >= 1, got {p}")
+    return p
 
 
 def lp_cost(fitted: DistanceMatrix, target: DistanceMatrix, p: float = 2.0) -> float:

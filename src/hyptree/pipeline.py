@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .data import random_binary_tree
 from .decoders import (
@@ -44,8 +43,8 @@ ALL_DECODERS = TREE_DECODERS + LINKAGE_METHODS
 #: bits for any count, and takes about 1.4 s at n = 300 on a 2-vCPU x86-64 VM
 #: (2.1 s on one of its CPUs).  The cutoff stays there because ``auto`` also
 #: runs at n = 512 (the ``decode-n512`` benchmark), where a scan covers about
-#: 51x the quadruples of n = 192 and takes 11 s on both CPUs, against 0.25 s
-#: for the default 1e6 samples.
+#: 51x the quadruples of n = 192 and takes 11 s on both CPUs, against 0.05 s
+#: for the default 1e6 samples (median of 9 seeds).
 DELTA_EXACT_MAX_N = 300
 DELTA_DEFAULT_SAMPLES = 10**6
 #: The modes :func:`measure_delta` accepts.
@@ -191,6 +190,7 @@ def compare_objectives(n: int, trials: int, pool_size: int, seed: int) -> Object
     """
     if pool_size < 1 or trials < 1:
         raise ValueError("trials and pool_size must be positive")
+    import scipy.optimize
     rng = np.random.default_rng(seed)
     pool_seeds = rng.integers(0, 2**31, size=pool_size)
     trial_seeds = rng.integers(0, 2**31, size=trials)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .metrics import DistanceMatrix
 
@@ -293,6 +292,7 @@ def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix, p: float = 2.0) -> 
     """
     if p != 2.0:
         raise NotImplementedError("edge-weight fitting is implemented for p = 2 only")
+    import scipy.optimize
     leaves = tree.sorted_leaves()
     tree_labels = [lbl for lbl, _ in leaves]
     if sorted(dm.labels) != tree_labels:

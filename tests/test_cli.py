@@ -1,7 +1,14 @@
 """CLI surface: subcommands, files, exit codes, composition, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+from hyptree import cli
 from hyptree.cli import main
 from hyptree.data import load_matrix, save_matrix
 from hyptree.metrics import DistanceMatrix
@@ -129,6 +136,25 @@ class TestDecodeAndEval:
         ]) == 0
         value = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert value > 0.0
+
+    def test_bad_exponent_rejected_at_parse_time(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("decode_and_score ran on a bad --p")
+
+        monkeypatch.setattr(cli, "decode_and_score", fail)
+        path = str(tree_metric_file(tmp_path))
+        out = str(tmp_path / "out")
+        commands = [
+            ["decode", "--input", path, "--method", "nj", "--output-dir", out],
+            ["eval", "--tree", "missing.nwk", "--input", path],
+            ["denoise", "--input", path, "--output-dir", out],
+            ["pipeline", "--input", path, "--output-dir", out],
+        ]
+        for argv in commands:
+            for p in ("inf", "nan", "0.5", "abc"):
+                assert main([*argv, "--p", p]) == 2, (argv[0], p)
+                assert "--p" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_errors(self, tmp_path, capsys):
         rc = main(["delta", "--input", str(tmp_path / "nope.txt")])
@@ -343,6 +369,11 @@ class TestConfigFile:
                 "--output-dir", str(tmp_path / "out")]),
             ("delta-mode = fast\n", "delta_mode", [
                 "delta", "--input", str(src / "matrix.txt")]),
+            # Neither synth nor delta has the option; the commands that do
+            # still reject the value.
+            ("epochs = 1.5\n", "--epochs", [
+                "synth", "--n", "6", "--output-dir", str(tmp_path / "out")]),
+            ("p = inf\n", "--p", ["delta", "--input", str(src / "matrix.txt")]),
         ]
         for text, option, argv in cases:
             cfg = tmp_path / "bad.cfg"
@@ -395,3 +426,44 @@ class TestNewickOutput:
         tree = parse_newick((out / "nj.nwk").read_text())
         assert tree.root is not None
         assert tree.n_leaves == 12
+
+
+#: Imports the package, runs each argv of ``sys.argv[1]`` (a JSON list)
+#: through ``cli.main`` and prints the scipy modules then loaded.
+SCIPY_PROBE = """
+import json, sys
+import hyptree, hyptree.cli
+for argv in json.loads(sys.argv[1]):
+    assert hyptree.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_loaded(*commands):
+    """Scipy modules a fresh interpreter holds after ``SCIPY_PROBE``; this
+    one imported scipy long ago."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartUp:
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_loaded() == []
+
+    def test_delta_eval_and_nj_decode_load_no_scipy(self, tmp_path):
+        path = str(tree_metric_file(tmp_path))
+        out = tmp_path / "d"
+        assert scipy_modules_loaded(
+            ["delta", "--input", path],
+            ["decode", "--input", path, "--method", "nj", "--output-dir", str(out)],
+            ["eval", "--tree", str(out / "nj.nwk"), "--input", path],
+        ) == []
+
+    def test_linkage_decode_loads_scipy_cluster(self, tmp_path):
+        path = str(tree_metric_file(tmp_path))
+        loaded = scipy_modules_loaded(
+            ["decode", "--input", path, "--method", "average", "--output-dir", str(tmp_path)])
+        assert "scipy.cluster.hierarchy" in loaded and "scipy.optimize" not in loaded

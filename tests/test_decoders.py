@@ -406,6 +406,31 @@ class TestDendrogram:
                 u = dendrogram_to_ultrametric(linkage(dm, method))
                 assert ultrametric_check(u, 1e-12)
 
+    def test_bytes_match_pair_vector_reference(self):
+        # squareform reads and writes the upper triangle in the order of
+        # DistanceMatrix.pair_vector, so linkage and the cophenetic matrix
+        # have the same bytes as a reference built on that order.
+        from scipy.cluster import hierarchy
+
+        rng = np.random.default_rng(36)
+        for n in (2, 3, 64):
+            labels = [str(i) for i in range(n)]
+            reals = np.triu(rng.random((n, n)), 1)
+            ties = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+            for vals in (reals, ties):
+                dm = DistanceMatrix(labels, vals + vals.T)
+                for method in LINKAGE_METHODS:
+                    z = hierarchy.linkage(dm.pair_vector(), method)
+                    want = [(min(a, b), max(a, b), h, s) for a, b, h, s in z]
+                    dend = linkage(dm, method)
+                    got = np.array(dend.merges, dtype=np.float64)
+                    assert got.tobytes() == np.array(want).tobytes(), (n, method)
+                    iu = np.triu_indices(n, 1)
+                    want = np.zeros((n, n))
+                    want[iu] = want.T[iu] = hierarchy.cophenet(got)
+                    full = dendrogram_to_ultrametric(dend).values
+                    assert full.tobytes() == want.tobytes(), (n, method)
+
     def test_single_leaf(self):
         dend = linkage(DistanceMatrix(["z"], [[0.0]]), "single")
         assert dend.merges == ()

@@ -37,6 +37,7 @@ WORKER_COUNTS = (1, 2, 3, 5)
 
 def force_workers(monkeypatch, count):
     monkeypatch.setattr(metrics, "_cpu_count", lambda: count)
+    monkeypatch.setattr(metrics, "_PARALLEL_MIN_N", 0)
 
 
 def delta_definition_oracle(values: np.ndarray) -> float:
@@ -279,6 +280,23 @@ class TestDeltaExact:
                 assert [first for first, ident in seen if ident == caller] == [1]
         finally:
             sys.setswitchinterval(interval)
+
+    def test_small_scans_stay_on_one_worker(self, monkeypatch):
+        # Below _PARALLEL_MIN_N a second worker's hand-offs cost more than it
+        # saves, so the calling thread scans every j whatever the CPU count.
+        scan, strides = metrics._scan_slice, []
+
+        def spy(*args, **kwargs):
+            strides.append(kwargs["stride"])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_scan_slice", spy)
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 3)
+        rng = np.random.default_rng(21)
+        for n, want in ((metrics._PARALLEL_MIN_N - 1, [1]), (metrics._PARALLEL_MIN_N, [3] * 3)):
+            strides.clear()
+            delta_exact(reference_inputs(rng, n)[0])
+            assert strides == want, n
 
 
 class TestDeltaSampled:
