@@ -8,17 +8,7 @@ Dasgupta cost, and four-point hyperbolicity.
 
 __version__ = "0.1.0"
 
-from .ball import (
-    PoincarePoint,
-    TangentVector,
-    exp_map,
-    geodesic_point,
-    mobius_add,
-    mobius_scale,
-    pairwise_distance_matrix,
-    poincare_distance,
-    project_to_ball,
-)
+from .ball import PoincarePoint, TangentVector, pairwise_distance_matrix
 from .data import (
     FeatureTable,
     MatrixFormatError,

@@ -1,17 +1,17 @@
-"""Poincare-ball geometry: distances, Mobius operations, geodesics, exp map.
+"""Poincare-ball geometry on point blocks: distances, Mobius sums, exp map, clipping.
 
-All operations act on points of the open ball ``B^d_c = {x : sqrt(c)*||x|| < 1}``
-with curvature parameter ``c > 0``.  Unvalidated array routines act on
-``(n, d)`` coordinate blocks, as the embedding optimizer needs; the per-point
-API built on :class:`PoincarePoint` validates its arguments and then calls
-them on one- or two-row blocks, so each formula exists once.  The encoder uses
-one shared distance kernel, :func:`pairwise_geometry`, for its training loss
-and gradient and, through :func:`pairwise_distance_matrix`, for the denoised
-matrix.  The kernel returns a :class:`PairGeometry` and can overwrite one from
-an earlier call, so a training run allocates its pairwise arrays once.  Its
-row quantities (``sqnorm``, ``conf``) can be handed to :func:`exp_map_points`
-and :func:`conformal_to_riemannian`, which then skip recomputing them; either
-way the results are the same bits.
+All routines act on ``(n, d)`` coordinate blocks of the open ball
+``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0``, as the
+encoder needs, and validate nothing.  :class:`PoincarePoint` and
+:class:`TangentVector` are validated single-point containers, the form in
+which :func:`hyptree.embedding.loss_gradient` returns its gradient.  The
+encoder uses one shared distance kernel, :func:`pairwise_geometry`, for its
+training loss and gradient and, through :func:`pairwise_distance_matrix`, for
+the denoised matrix.  The kernel returns a :class:`PairGeometry` and can
+overwrite one from an earlier call, so a training run allocates its pairwise
+arrays once.  Its row quantities (``sqnorm``, ``conf``) can be handed to
+:func:`exp_map_points` and :func:`conformal_to_riemannian`, which then skip
+recomputing them; either way the results are the same bits.
 """
 
 from __future__ import annotations
@@ -22,19 +22,8 @@ import numpy as np
 
 DEFAULT_MARGIN = 1e-5
 
-# Norms below this are treated as exactly zero (Mobius scaling of the origin,
-# zero tangent steps).
+# Tangent steps shorter than this are treated as exactly zero.
 _ZERO_NORM = 1e-15
-
-
-def check_margin(margin: float) -> None:
-    """Raise ValueError unless the boundary margin lies in (0, 1e-2].
-
-    A margin of 1 or more puts the clip radius (1 - margin)/sqrt(c) at or
-    below zero, which collapses or flips every clipped point.
-    """
-    if not 0.0 < margin <= 1e-2:
-        raise ValueError(f"margin must lie in (0, 1e-2], got {margin}")
 
 
 def _as_vector(coords) -> np.ndarray:
@@ -87,106 +76,6 @@ class TangentVector:
                 f"base has dimension {self.base.dim}"
             )
 
-
-def _check_compatible(x: PoincarePoint, y: PoincarePoint) -> None:
-    if x.curvature != y.curvature:
-        raise ValueError(
-            f"mixed curvatures {x.curvature} and {y.curvature}; "
-            "rescale one point set explicitly instead"
-        )
-    if x.dim != y.dim:
-        raise ValueError(f"mixed dimensions {x.dim} and {y.dim}")
-
-
-def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
-    """Hyperbolic distance between two points of B^d_c.
-
-    Reads entry (0, 1) of :func:`pairwise_distance_matrix` on the two-row
-    block ``[x; y]``, so it is the asinh form of the block kernel, which
-    keeps full relative accuracy for near-coincident points.  Exactly
-    symmetric in its arguments.
-    """
-    _check_compatible(x, y)
-    block = np.stack((x.coords, y.coords))
-    return float(pairwise_distance_matrix(block, x.curvature)[0, 1])
-
-
-def _interior_point(coords: np.ndarray, c: float) -> PoincarePoint:
-    """The point at coordinates that are analytically interior.
-
-    Float rounding can land such a result on or past the boundary; it is
-    then nudged inside by one part in 1e15 instead of being rejected.
-    """
-    nrm = np.sqrt(c) * float(np.linalg.norm(coords))
-    if nrm >= 1.0:
-        coords = coords * ((1.0 - 1e-15) / nrm)
-    return PoincarePoint(coords, c)
-
-
-def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
-    """Mobius sum x (+)_c y.  Non-commutative and non-associative.
-
-    A sum that rounds onto the boundary is nudged inside (see
-    :func:`_interior_point`).
-    """
-    _check_compatible(x, y)
-    c = x.curvature
-    return _interior_point(mobius_add_points(x.coords[None], y.coords[None], c)[0], c)
-
-
-def mobius_scale(t: float, x: PoincarePoint) -> PoincarePoint:
-    """Mobius scalar product t (x)_c x; the origin is a fixed point.
-
-    A product that rounds onto the boundary (tanh reaches 1 for large |t|)
-    is nudged inside (see :func:`_interior_point`).
-    """
-    c = x.curvature
-    nrm = float(np.linalg.norm(x.coords))
-    if nrm < _ZERO_NORM:
-        return PoincarePoint(np.zeros_like(x.coords), c)
-    sc = np.sqrt(c) * nrm
-    return _interior_point(np.tanh(t * np.arctanh(sc)) * x.coords / sc, c)
-
-
-def geodesic_point(x: PoincarePoint, y: PoincarePoint, t: float) -> PoincarePoint:
-    """Point gamma_{x->y}(t) on the geodesic from x (t=0) to y (t=1).
-
-    Evaluates ``x (+)_c (t (x)_c ((-x) (+)_c y))``; the curve has constant
-    speed, i.e. d(x, gamma(t)) = t * d(x, y).
-    """
-    _check_compatible(x, y)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
-    neg_x = PoincarePoint(-x.coords, x.curvature)
-    chord = mobius_add(neg_x, y)
-    return mobius_add(x, mobius_scale(t, chord))
-
-
-def exp_map(v: TangentVector) -> PoincarePoint:
-    """Exponential map: follow the geodesic leaving v.base with velocity v.
-
-    A zero direction returns the base point unchanged.  A result that
-    rounds onto the boundary is nudged inside (see :func:`_interior_point`).
-    """
-    c = v.base.curvature
-    return _interior_point(exp_map_points(v.base.coords[None], v.direction[None], c)[0], c)
-
-
-def project_to_ball(x, c: float, margin: float = DEFAULT_MARGIN) -> PoincarePoint:
-    """Pull a raw vector strictly inside the ball, leaving interior points as-is.
-
-    Vectors with sqrt(c)*||x|| >= 1 - margin are rescaled to norm
-    (1 - margin)/sqrt(c).  Idempotent.
-    """
-    check_margin(margin)
-    v = _as_vector(x)
-    out = clip_to_ball(v[None, :], c, margin)[0]
-    return PoincarePoint(out, c)
-
-
-# ---------------------------------------------------------------------------
-# Array routines over (n, d) coordinate blocks.  No per-point validation.
-# ---------------------------------------------------------------------------
 
 #: Entries of the coordinate-difference block in :func:`pairwise_geometry`.
 #: Rows are processed in blocks of this many (row, coordinate, column)

@@ -113,10 +113,6 @@ class PoincareEmbedding:
             raise ValueError("some points lie on or outside the ball boundary")
         self.points = pts
 
-    def __iter__(self):
-        for row in self.points:
-            yield PoincarePoint(row, self.curvature)
-
 
 @dataclass
 class EmbeddingResult:
