@@ -44,6 +44,6 @@ for c in (1.0, 4.0, 100.0):
 
 print("\n== the boundary clip keeps optimizer iterates inside ==")
 runaway = np.array([[1.3, 0.4], [0.3, 0.4]])
-safe, rescaled = clip_to_ball(runaway, 1.0, margin=1e-5, full_output=True)
+safe, rescaled = clip_to_ball(runaway, 1.0)
 print("  row norms", np.linalg.norm(runaway, axis=1), "->", np.linalg.norm(safe, axis=1),
       f"({rescaled} of {len(runaway)} rows pulled in; interior rows keep their bits)")

@@ -8,7 +8,7 @@ Dasgupta cost, and four-point hyperbolicity.
 
 __version__ = "0.1.0"
 
-from .ball import PoincarePoint, TangentVector, pairwise_distance_matrix
+from .ball import pairwise_distance_matrix
 from .data import (
     FeatureTable,
     MatrixFormatError,

@@ -2,21 +2,17 @@
 
 All routines act on ``(n, d)`` coordinate blocks of the open ball
 ``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0``, as the
-encoder needs, and validate nothing.  :class:`PoincarePoint` and
-:class:`TangentVector` are validated single-point containers, the form in
-which :func:`hyptree.embedding.loss_gradient` returns its gradient.  The
-encoder uses one shared distance kernel, :func:`pairwise_geometry`, for its
-training loss and gradient and, through :func:`pairwise_distance_matrix`, for
-the denoised matrix.  The kernel returns a :class:`PairGeometry` and can
-overwrite one from an earlier call, so a training run allocates its pairwise
-arrays once.  Its row quantities (``sqnorm``, ``conf``) can be handed to
-:func:`exp_map_points` and :func:`conformal_to_riemannian`, which then skip
-recomputing them; either way the results are the same bits.
+encoder needs, and validate nothing.  The encoder uses one shared distance
+kernel, :func:`pairwise_geometry`, for its training loss and gradient and,
+through :func:`pairwise_distance_matrix`, for the denoised matrix.  The kernel
+returns a :class:`PairGeometry` and can overwrite one from an earlier call, so
+a training run allocates its pairwise arrays once.  Its row quantities
+(``sqnorm``, ``conf``) can be handed to :func:`exp_map_points` and
+:func:`conformal_to_riemannian`, which then skip recomputing them; either way
+the results are the same bits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,57 +20,6 @@ DEFAULT_MARGIN = 1e-5
 
 # Tangent steps shorter than this are treated as exactly zero.
 _ZERO_NORM = 1e-15
-
-
-def _as_vector(coords) -> np.ndarray:
-    v = np.asarray(coords, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D coordinate vector, got shape {v.shape}")
-    return v
-
-
-@dataclass(frozen=True)
-class PoincarePoint:
-    """A point of the open ball B^d_c.
-
-    Invariants checked at construction: d >= 2, c > 0 and strict ball
-    membership sqrt(c)*||coords|| < 1.
-    """
-
-    coords: np.ndarray
-    curvature: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
-        object.__setattr__(self, "curvature", float(self.curvature))
-        if self.curvature <= 0.0:
-            raise ValueError(f"curvature must be positive, got {self.curvature}")
-        if self.coords.size < 2:
-            raise ValueError("ball dimension must be at least 2")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError("coordinates must be finite")
-        if np.sqrt(self.curvature) * float(np.linalg.norm(self.coords)) >= 1.0:
-            raise ValueError("point lies on or outside the ball boundary")
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A direction attached to a base point of the ball."""
-
-    base: PoincarePoint
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", _as_vector(self.direction))
-        if self.direction.size != self.base.dim:
-            raise ValueError(
-                f"direction has dimension {self.direction.size}, "
-                f"base has dimension {self.base.dim}"
-            )
 
 
 #: Entries of the coordinate-difference block in :func:`pairwise_geometry`.
@@ -89,17 +34,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def clip_to_ball(points: np.ndarray, c: float, margin: float = DEFAULT_MARGIN,
-                 full_output: bool = False):
-    """Rescale rows with sqrt(c)*||row|| >= 1 - margin back to that radius.
+def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
+    """Pull rows with sqrt(c)*||row|| > 1 - DEFAULT_MARGIN back to that radius.
 
     The rescale repeats until every norm is <= the limit, so the operation is
-    exactly idempotent despite rounding in the normalization.  With
-    ``full_output=True`` returns ``(points, rescaled)``, where ``rescaled`` is
-    the number of rows that were over the limit.
+    exactly idempotent despite rounding in the normalization.  Returns
+    ``(points, rescaled)``, where ``rescaled`` is the number of rows that were
+    over the limit.
     """
     pts = np.array(points, dtype=np.float64)
-    limit = (1.0 - margin) / np.sqrt(c)
+    limit = (1.0 - DEFAULT_MARGIN) / np.sqrt(c)
     rescaled = 0
     for attempt in range(4):
         norms = _row_norms(pts)
@@ -109,7 +53,7 @@ def clip_to_ball(points: np.ndarray, c: float, margin: float = DEFAULT_MARGIN,
         if attempt == 0:
             rescaled = int(np.count_nonzero(mask))
         pts[mask] *= (limit / norms[mask])[:, None]
-    return (pts, rescaled) if full_output else pts
+    return pts, rescaled
 
 
 class PairGeometry:

@@ -148,11 +148,11 @@ def _print_boundary(result: EmbeddingResult) -> None:
 
 
 def _cmd_synth(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tree = random_binary_tree(args.n, args.seed)
     graph = add_noise_edges(tree, args.noise_rate, args.seed + 1)
     dm = graph_leaf_shortest_paths(graph)
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "tree.nwk").write_text(write_newick(tree) + "\n", encoding="utf-8")
     save_edge_list(graph, outdir / "graph.tsv")
     save_matrix(dm, outdir / "matrix.txt")

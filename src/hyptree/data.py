@@ -91,8 +91,8 @@ def add_noise_edges(tree: WeightedTree, rate: float, seed: int) -> NoisyGraph:
     duplicates of existing edges, and repeated picks are rejected and
     resampled.  Shortcut weights are i.i.d. Unif[0, 1].
     """
-    if rate < 0.0:
-        raise ValueError(f"noise rate must be nonnegative, got {rate}")
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"noise rate must be nonnegative and finite, got {rate}")
     n = tree.n_leaves
     count = int(math.floor(rate * (2 * n - 2) + 0.5))  # half-up
     verts = sorted(tree.vertices)

@@ -15,7 +15,6 @@ from typing import ClassVar
 import numpy as np
 
 from . import ball
-from .ball import PoincarePoint, TangentVector
 from .data import write_table
 from .metrics import DistanceMatrix, check_exponent
 
@@ -98,18 +97,28 @@ class EncoderConfig:
 
 @dataclass
 class PoincareEmbedding:
-    """n labeled points sharing one curvature."""
+    """n labeled points of one ball B^d_c.
+
+    Checked at construction: c is positive and finite, d >= 2, and every
+    point has finite coordinates strictly inside the ball.
+    """
 
     labels: list[str]
     points: np.ndarray
     curvature: float
 
     def __post_init__(self):
+        if not 0.0 < self.curvature < np.inf:
+            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] != len(self.labels):
             raise ValueError(f"point block shape {pts.shape} does not match labels")
+        if pts.shape[1] < 2:
+            raise ValueError("ball dimension must be at least 2")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("coordinates must be finite")
         norms = np.sqrt(self.curvature) * np.linalg.norm(pts, axis=1)
-        if np.any(norms >= 1.0):
+        if not np.all(norms < 1.0):
             raise ValueError("some points lie on or outside the ball boundary")
         self.points = pts
 
@@ -210,12 +219,12 @@ def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarra
     return row[:, None] * points - t @ points
 
 
-def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> list[TangentVector]:
-    """Riemannian gradient of the rooted l_p loss, one tangent vector per point.
+def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> np.ndarray:
+    """Riemannian gradient of the rooted l_p loss as an (n, d) array.
 
-    The ambient partial derivatives are rescaled by the inverse ball metric,
-    (1 - c||x||^2)^2 / 4.  A perfect fit returns zero vectors (subgradient
-    convention at the non-smooth point).
+    Row i is the gradient at point i: the ambient partial derivatives
+    rescaled by the inverse ball metric, (1 - c||x_i||^2)^2 / 4.  A perfect
+    fit returns zeros (subgradient convention at the non-smooth point).
     """
     if len(emb.labels) != dm.n:
         raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
@@ -229,10 +238,7 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
         # chain rule through the outer 1/p root
         ambient = _power_gradient(emb.points, geo, resid, c, p) * (
             power_sum ** (1.0 / p - 1.0) / p)
-    riem = ball.conformal_to_riemannian(emb.points, c, ambient, geo.conf)
-    return [
-        TangentVector(PoincarePoint(x, c), g) for x, g in zip(emb.points, riem)
-    ]
+    return ball.conformal_to_riemannian(emb.points, c, ambient, geo.conf)
 
 
 def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
@@ -270,7 +276,7 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
     pts = _mds_init(target, cfg.dimension, cfg.curvature)
     jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
     pts = ball.exp_map_points(pts, jitter, cfg.curvature)
-    return ball.clip_to_ball(pts, cfg.curvature, full_output=True)
+    return ball.clip_to_ball(pts, cfg.curvature)
 
 
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
@@ -336,7 +342,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         # hovering at a constant-step floor.
         step = -lr * m_hat / precond[:, None]
         points = ball.exp_map_points(points, step, c, geo.sqnorm, geo.conf)
-        points, clipped = ball.clip_to_ball(points, c, full_output=True)
+        points, clipped = ball.clip_to_ball(points, c)
         rescales += clipped
 
         ball.pairwise_geometry(points, c, out=geo)

@@ -54,6 +54,17 @@ class TestSynth:
         for name in ("tree.nwk", "graph.tsv", "matrix.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_non_finite_rate_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--n", "8", "--noise-rate", "inf",
+                     "--output-dir", str(out)]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise_rate = inf\n")
+        assert main(["--config", str(cfg), "synth", "--n", "8",
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.count("noise rate") == 2
+        assert not out.exists()
+
     def test_zero_rate_four_point(self, tmp_path):
         out = tmp_path / "clean"
         main(["synth", "--n", "8", "--noise-rate", "0", "--output-dir", str(out)])

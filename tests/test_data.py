@@ -386,6 +386,11 @@ class TestAddNoiseEdges:
         with pytest.raises(TreeStructureError):
             add_noise_edges(t, 2.0, 0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -0.1])
+    def test_rate_must_be_nonnegative_and_finite(self, rate):
+        with pytest.raises(ValueError, match=f"noise rate .* got {rate}"):
+            add_noise_edges(random_binary_tree(8, 0), rate, 1)
+
 
 class TestShortestPaths:
     def test_no_noise_equals_tree_metric(self):

@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs to completion without a warning."""
+"""Every narrative script under demos/, and README's library example, runs to
+completion without a warning."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,24 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script, tmp_path):
+def run_script(path, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(path)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script, tmp_path):
+    run_script(script, tmp_path)
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+    script = tmp_path / "library_use.py"
+    script.write_text(code, encoding="utf-8")
+    run_script(script, tmp_path)
