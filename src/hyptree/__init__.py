@@ -64,4 +64,5 @@ from .trees import (
     midpoint_root,
     tree_distance,
     trim_root,
+    unit_edges,
 )

@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (EncodingError, NotImplementedError, ValueError, OSError) as exc:
+    except (EncodingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

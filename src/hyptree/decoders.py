@@ -1,10 +1,10 @@
 """Tree-metric and ultrametric decoders for arbitrary dissimilarity matrices.
 
-``neighbor_joining`` produces an unrooted tree with internal degree 3 and
-clamps any negative branch length to zero (the clamp count is available via
-``full_output``).  ``linkage`` runs agglomerative clustering under the
-single / complete / average / weighted rules and returns the merge sequence;
-its cophenetic matrix is an ultrametric by construction.
+``neighbor_joining`` returns an unrooted tree with internal degree 3, its
+negative branch lengths clamped to zero, and the number it clamped.
+``linkage`` runs agglomerative clustering under the single / complete /
+average / weighted rules and returns the merge sequence; its cophenetic
+matrix is an ultrametric by construction.
 """
 
 from __future__ import annotations
@@ -24,25 +24,31 @@ LINKAGE_METHODS = ("single", "complete", "average", "weighted")
 class Dendrogram:
     """Ordered merge sequence (cluster_a, cluster_b, height, merged size).
 
-    Cluster ids 0..n-1 are leaves in label order; merge k creates id n+k.
+    Cluster ids 0..n-1 are the n = len(labels) leaves in label order; merge
+    k creates id n+k, and every cluster but the last is merged exactly once.
     Heights are non-decreasing along the merge order, and each size is the
     sum of the two merged sizes (scipy's cophenetic routine reads the sizes
     to index its buffers).
     """
 
-    n: int
     merges: tuple[tuple[int, int, float, int], ...]
     labels: list[str]
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
 
     def __post_init__(self):
         if len(self.merges) != max(self.n - 1, 0):
             raise ValueError(f"{len(self.merges)} merges for {self.n} leaves")
         sizes = [1] * self.n
+        used = set()
         prev = 0.0
         for k, (a, b, h, size) in enumerate(self.merges):
             limit = self.n + k
-            if not (0 <= a < limit and 0 <= b < limit and a != b):
-                raise ValueError(f"merge {k} references invalid clusters ({a}, {b})")
+            if not (0 <= a < limit and 0 <= b < limit and a != b) or {a, b} & used:
+                raise ValueError(f"merge {k} references invalid or merged clusters ({a}, {b})")
+            used.update((a, b))
             if size != sizes[a] + sizes[b]:
                 raise ValueError(f"merge {k} has size {size}, expected {sizes[a] + sizes[b]}")
             if h < prev:
@@ -51,8 +57,8 @@ class Dendrogram:
             sizes.append(size)
 
 
-def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
-    """Neighbor Joining tree for a dissimilarity matrix.
+def neighbor_joining(dm: DistanceMatrix) -> tuple[WeightedTree, int]:
+    """Neighbor Joining tree for a dissimilarity matrix, and its clamp count.
 
     Iteratively joins the pair minimizing
     ``Q(i, j) = (m - 2) d(i, j) - sum_k d(i, k) - sum_k d(j, k)``,
@@ -71,20 +77,15 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
     or updating the row sums incrementally, would instead change branch
     lengths in their last bits and could change which pair wins a tie.
 
-    Parameters
-    ----------
-    dm : DistanceMatrix
-    full_output : bool
-        When true, also return the number of negative branch lengths that
-        were clamped to zero.
+    Returns the unrooted tree and the number of negative branch lengths
+    that were clamped to zero, a Python int.
     """
     n = dm.n
     if n < 1:
         raise ValueError("neighbor joining needs at least one entity")
     leaf_labels = {i: lbl for i, lbl in enumerate(dm.labels)}
     if n == 1:
-        tree = WeightedTree((0,), (), leaf_labels, root=None)
-        return (tree, 0) if full_output else tree
+        return WeightedTree((0,), (), leaf_labels, root=None), 0
 
     buf = dm.values.copy()
     qbuf = np.empty(n * n)
@@ -92,15 +93,6 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
     active = list(range(n))
     next_id = n
     edges: list[tuple[int, int, float]] = []
-    clamps = 0
-
-    def clamped(w: float) -> float:
-        nonlocal clamps
-        if w < 0.0:
-            clamps += 1
-            return 0.0
-        return w
-
     m = n
     while m > 3:
         work = buf[:m, :m]
@@ -118,8 +110,8 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
             i, j = j, i
         li = 0.5 * work[i, j] + (r[i] - r[j]) / (2.0 * (m - 2))
         lj = 0.5 * work[i, j] + (r[j] - r[i]) / (2.0 * (m - 2))
-        edges.append((active[i], next_id, clamped(li)))
-        edges.append((active[j], next_id, clamped(lj)))
+        edges.append((active[i], next_id, li))
+        edges.append((active[j], next_id, lj))
         merged = 0.5 * (work[i, :] + work[j, :] - work[i, j])
         merged[i] = 0.0
         work[i, :] = merged
@@ -136,15 +128,15 @@ def neighbor_joining(dm: DistanceMatrix, full_output: bool = False):
         d01, d02, d12 = work[0, 1], work[0, 2], work[1, 2]
         hub = next_id
         next_id += 1
-        edges.append((active[0], hub, clamped(0.5 * (d01 + d02 - d12))))
-        edges.append((active[1], hub, clamped(0.5 * (d01 + d12 - d02))))
-        edges.append((active[2], hub, clamped(0.5 * (d02 + d12 - d01))))
+        edges.append((active[0], hub, 0.5 * (d01 + d02 - d12)))
+        edges.append((active[1], hub, 0.5 * (d01 + d12 - d02)))
+        edges.append((active[2], hub, 0.5 * (d02 + d12 - d01)))
     else:
-        edges.append((active[0], active[1], clamped(work[0, 1])))
+        edges.append((active[0], active[1], work[0, 1]))
 
-    vertices = tuple(range(next_id))
-    tree = WeightedTree(vertices, tuple(edges), leaf_labels, root=None)
-    return (tree, clamps) if full_output else tree
+    clamps = sum(1 for _, _, w in edges if w < 0.0)
+    edges = tuple((u, v, 0.0 if w < 0.0 else w) for u, v, w in edges)
+    return WeightedTree(tuple(range(next_id)), edges, leaf_labels, root=None), clamps
 
 
 def linkage(dm: DistanceMatrix, method: str) -> Dendrogram:
@@ -170,14 +162,14 @@ def linkage(dm: DistanceMatrix, method: str) -> Dendrogram:
     if n < 1:
         raise ValueError("linkage needs at least one entity")
     if n == 1:
-        return Dendrogram(1, (), list(dm.labels))
+        return Dendrogram((), list(dm.labels))
     from scipy.cluster import hierarchy
     from scipy.spatial.distance import squareform
     z = hierarchy.linkage(squareform(dm.values, checks=False), method)
     merges = tuple(
         (int(min(a, b)), int(max(a, b)), float(h), int(size)) for a, b, h, size in z
     )
-    return Dendrogram(n, merges, list(dm.labels))
+    return Dendrogram(merges, list(dm.labels))
 
 
 def write_dendrogram(dend: Dendrogram, path) -> None:

@@ -95,12 +95,13 @@ class EncoderConfig:
             raise ValueError("need total_epochs >= burnin_epochs >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoincareEmbedding:
     """n labeled points of one ball B^d_c.
 
     Checked at construction: c is positive and finite, d >= 2, and every
-    point has finite coordinates strictly inside the ball.
+    point has finite coordinates strictly inside the ball.  The instance is
+    frozen and ``points`` is a read-only copy, so the checks keep holding.
     """
 
     labels: list[str]
@@ -110,7 +111,7 @@ class PoincareEmbedding:
     def __post_init__(self):
         if not 0.0 < self.curvature < np.inf:
             raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] != len(self.labels):
             raise ValueError(f"point block shape {pts.shape} does not match labels")
         if pts.shape[1] < 2:
@@ -120,7 +121,8 @@ class PoincareEmbedding:
         norms = np.sqrt(self.curvature) * np.linalg.norm(pts, axis=1)
         if not np.all(norms < 1.0):
             raise ValueError("some points lie on or outside the ball boundary")
-        self.points = pts
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
 
 @dataclass
@@ -145,8 +147,8 @@ class EmbeddingResult:
 def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> float:
     """l_p distortion between embedded distances and the matrix entries."""
     check_exponent(p)
-    if len(emb.labels) != dm.n:
-        raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
+    if list(emb.labels) != dm.labels:
+        raise ValueError("embedding and matrix are labeled differently; align them first")
     dist = ball.pairwise_distance_matrix(emb.points, emb.curvature)
     return _power_sum(dist - dm.values, p) ** (1.0 / p)
 
@@ -226,8 +228,9 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
     rescaled by the inverse ball metric, (1 - c||x_i||^2)^2 / 4.  A perfect
     fit returns zeros (subgradient convention at the non-smooth point).
     """
-    if len(emb.labels) != dm.n:
-        raise ValueError(f"{len(emb.labels)} points vs {dm.n} matrix entities")
+    check_exponent(p)
+    if list(emb.labels) != dm.labels:
+        raise ValueError("embedding and matrix are labeled differently; align them first")
     c = emb.curvature
     geo = ball.pairwise_geometry(emb.points, c)
     resid = geo.dist - dm.values

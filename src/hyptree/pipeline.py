@@ -33,6 +33,7 @@ from .trees import (
     midpoint_root,
     midpoint_root_and_metric,
     tree_distance,
+    unit_edges,
 )
 
 TREE_DECODERS = ("nj",)
@@ -86,7 +87,7 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
     label order differs.
     """
     if method == "nj":
-        tree, clamps = neighbor_joining(decode_dm, full_output=True)
+        tree, clamps = neighbor_joining(decode_dm)
         if tree.n_leaves >= 2:
             rooted, fitted = midpoint_root_and_metric(tree)
         else:
@@ -173,11 +174,6 @@ def run_pipeline(
     return report, artifacts
 
 
-def _unit_weights(tree: WeightedTree) -> WeightedTree:
-    edges = tuple((u, v, 1.0) for u, v, _ in tree.edges)
-    return WeightedTree(tree.vertices, edges, dict(tree.leaf_labels), root=tree.root)
-
-
 def compare_objectives(n: int, trials: int, pool_size: int, seed: int) -> ObjectiveStudyResult:
     """Score l2-optimal vs Dasgupta-optimal topology picks from a fixed pool.
 
@@ -196,10 +192,10 @@ def compare_objectives(n: int, trials: int, pool_size: int, seed: int) -> Object
     trial_seeds = rng.integers(0, 2**31, size=trials)
 
     pool = [random_binary_tree(n, int(s)) for s in pool_seeds]
-    designs = [design_matrix(t).matrix for t in pool]
+    designs = [design_matrix(t) for t in pool]
     # Clan sizes need a root; topologies are rooted at their unit-weight midpoint.
     clan_vecs = [
-        lca_clan_sizes(midpoint_root(_unit_weights(t))).pair_vector() for t in pool
+        lca_clan_sizes(midpoint_root(unit_edges(t))).pair_vector() for t in pool
     ]
 
     scatter = np.zeros((trials, 4))

@@ -88,15 +88,6 @@ class WeightedTree:
         return sorted((lbl, v) for v, lbl in self.leaf_labels.items())
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Path-incidence matrix: one row per unordered leaf pair, one column per edge."""
-
-    pairs: tuple[tuple[str, str], ...]
-    edge_ends: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-
 def _walk(tree: WeightedTree, start: int) -> tuple[list[int], list[int], list[int]]:
     """Preorder walk from ``start``: per position, the vertex, its parent's
     position and its parent edge's index (-1 and -1 at the start).
@@ -160,7 +151,7 @@ def _path(up: list[int], a: int, b: int) -> list[int]:
     return head + tail[-2::-1]
 
 
-def _leaf_path_lengths(tree: WeightedTree, unit: bool = False, walk=None):
+def _leaf_path_lengths(tree: WeightedTree, walk=None):
     """Labeled leaves in label order and their leaf-to-leaf path lengths.
 
     ``walk`` is the ``_walk`` from ``vertices[0]``, made here if not given.
@@ -170,13 +161,12 @@ def _leaf_path_lengths(tree: WeightedTree, unit: bool = False, walk=None):
     pass fills the sources outside it (row k = row parent(k) + w).  Each
     entry is thus summed edge by edge outward from its source leaf, as
     Dijkstra's relaxation sums it, so entry (i, j) may differ from (j, i) in
-    the last bit.  With ``unit=True`` every edge counts 1 regardless of its
-    weight.
+    the last bit.
     """
     leaves = tree.sorted_leaves()
     order, up, edge = walk or _walk(tree, tree.vertices[0])
     lo, hi = _leaf_ranges(tree, order, up)
-    weight = [0.0] + [1.0 if unit else tree.edges[e][2] for e in edge[1:]]
+    weight = [0.0] + [tree.edges[e][2] for e in edge[1:]]
     pos = {v: k for k, v in enumerate(order)}
     rows = [pos[v] for _, v in leaves]
     dist = np.empty((len(order), len(leaves)))
@@ -190,12 +180,9 @@ def _leaf_path_lengths(tree: WeightedTree, unit: bool = False, walk=None):
     return leaves, np.ascontiguousarray(dist[np.ix_(rows, [lo[k] for k in rows])].T)
 
 
-def leaf_distance_matrix(tree: WeightedTree, unit: bool = False) -> DistanceMatrix:
-    """Pairwise path distances between labeled leaves, labels in sorted order.
-
-    With ``unit=True`` every edge counts 1 regardless of its weight.
-    """
-    return _symmetrised(*_leaf_path_lengths(tree, unit=unit))
+def leaf_distance_matrix(tree: WeightedTree) -> DistanceMatrix:
+    """Pairwise path distances between labeled leaves, labels in sorted order."""
+    return _symmetrised(*_leaf_path_lengths(tree))
 
 
 def _symmetrised(leaves, dist) -> DistanceMatrix:
@@ -266,32 +253,33 @@ def _edge_ranges(tree: WeightedTree, leaves):
     return np.array(_leaf_columns(leaves, order, lo), dtype=int), far_lo, far_hi
 
 
-def design_matrix(tree: WeightedTree) -> DesignMatrix:
-    """0/1 incidence of edges on leaf-to-leaf paths, so that A @ w = d_T."""
+def design_matrix(tree: WeightedTree) -> np.ndarray:
+    """0/1 float64 incidence of edges on leaf-to-leaf paths, so that A @ w = d_T.
+
+    Rows are the unordered pairs of the sorted labels in ``pair_vector``
+    order, (0, 1), (0, 2), ..., (n-2, n-1); columns follow ``tree.edges``.
+    """
     leaves = tree.sorted_leaves()
     cols, far_lo, far_hi = _edge_ranges(tree, leaves)
     # An edge is on a pair's path iff exactly one of the two leaves is beyond it.
     beyond = (far_lo <= cols[:, None]) & (cols[:, None] < far_hi)
     iu, ju = np.triu_indices(len(leaves), 1)
-    pairs = tuple((leaves[i][0], leaves[j][0]) for i, j in zip(iu, ju))
-    ends = tuple((u, v) for u, v, _ in tree.edges)
-    return DesignMatrix(pairs, ends, (beyond[iu] != beyond[ju]).astype(np.float64))
+    return (beyond[iu] != beyond[ju]).astype(np.float64)
 
 
-def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix, p: float = 2.0) -> WeightedTree:
-    """Refit edge weights to minimize ||A_T w - d||_p over w >= 0, keeping topology.
+def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix) -> WeightedTree:
+    """Refit edge weights to minimize ||A w - d||_2 over w >= 0, keeping topology.
 
-    Only p = 2 is implemented (nonnegative least squares); the objective is
-    convex in w, so the solver's optimum never exceeds the input weights' cost.
-    A is never built, so memory is O(|E|^2).  With s_e leaves beyond edge e,
-    entry (e, f) of A^T A is s_e (n - s_f) if e's far side lies inside f's and
+    A is :func:`design_matrix` and d the ``pair_vector`` of ``dm`` in sorted
+    label order.  This nonnegative least-squares objective is convex in w, so
+    the solver's optimum never exceeds the input weights' cost.  A is never
+    built, so memory is O(|E|^2).  With s_e leaves beyond edge e, entry
+    (e, f) of A^T A is s_e (n - s_f) if e's far side lies inside f's and
     s_e s_f if the two are disjoint; entry e of A^T d sums d across e's cut,
     from one 2-D prefix sum.  NNLS runs on an eigh square root of A^T A: the
     same objective up to a constant, also where A^T A is singular (degree-2
     vertices).  A solver failure propagates.
     """
-    if p != 2.0:
-        raise NotImplementedError("edge-weight fitting is implemented for p = 2 only")
     import scipy.optimize
     leaves = tree.sorted_leaves()
     tree_labels = [lbl for lbl, _ in leaves]
@@ -407,6 +395,12 @@ def _root_at_midpoint(tree: WeightedTree, walk, leaves, dist: np.ndarray) -> Wei
     return replace(tree, leaf_labels=dict(tree.leaf_labels), root=vb)
 
 
+def unit_edges(tree: WeightedTree) -> WeightedTree:
+    """The same tree, labels and root with every edge weight set to 1."""
+    edges = tuple((u, v, 1.0) for u, v, _ in tree.edges)
+    return WeightedTree(tree.vertices, edges, dict(tree.leaf_labels), root=tree.root)
+
+
 def tree_distance(t1: WeightedTree, t2: WeightedTree) -> float:
     """Topology distance (2/(n(n-1))) * ||d_T1 - d_T2||_2 with unit edge lengths."""
     labels1 = [lbl for lbl, _ in t1.sorted_leaves()]
@@ -416,6 +410,6 @@ def tree_distance(t1: WeightedTree, t2: WeightedTree) -> float:
     n = len(labels1)
     if n < 2:
         raise ValueError("tree distance needs at least two leaves")
-    d1 = leaf_distance_matrix(t1, unit=True).pair_vector()
-    d2 = leaf_distance_matrix(t2, unit=True).pair_vector()
+    d1 = leaf_distance_matrix(unit_edges(t1)).pair_vector()
+    d2 = leaf_distance_matrix(unit_edges(t2)).pair_vector()
     return float(2.0 / (n * (n - 1)) * np.linalg.norm(d1 - d2))

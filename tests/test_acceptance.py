@@ -66,7 +66,7 @@ def test_criterion_1_nj_consistency():
         n = int(rng.integers(4, 33))
         tree = reweighted(random_binary_tree(n, k), seed=1000 + k)
         dm = leaf_distance_matrix(tree)
-        decoded, clamps = neighbor_joining(dm, full_output=True)
+        decoded, clamps = neighbor_joining(dm)
         total_clamps += clamps
         back = leaf_distance_matrix(decoded)
         worst = max(worst, float(np.abs(back.values - dm.values).max()))
@@ -175,7 +175,7 @@ def test_criterion_4_convexity():
     for _ in range(100):
         n = int(rng.integers(4, 13))
         tree = random_binary_tree(n, int(rng.integers(10**6)))
-        a = design_matrix(tree).matrix
+        a = design_matrix(tree)
         target = leaf_distance_matrix(tree).pair_vector() + 0.5 * rng.standard_normal(
             a.shape[0]
         )
@@ -315,7 +315,7 @@ def _denoising_runs():
         graph = add_noise_edges(tree, rate, 1)
         dm = graph_leaf_shortest_paths(graph)
         delta_in = delta_exact(dm).delta
-        direct_tree = neighbor_joining(dm)
+        direct_tree, _ = neighbor_joining(dm)
         loss_direct = lp_cost(
             leaf_distance_matrix(direct_tree).reordered(dm.labels), dm
         )
@@ -323,7 +323,7 @@ def _denoising_runs():
             result = train_embedding(dm, EncoderConfig(seed=seed))
             den = denoised_metric(result)
             delta_out = delta_exact(den).delta
-            hyper_tree = neighbor_joining(den)
+            hyper_tree, _ = neighbor_joining(den)
             loss_hyper = lp_cost(
                 leaf_distance_matrix(hyper_tree).reordered(dm.labels), dm
             )
@@ -408,13 +408,13 @@ def test_criterion_9_real_data_direction():
         pytest.skip("no feature file and scikit-learn unavailable")
     start = time.perf_counter()
     dm = cosine_dissimilarity(table)
-    direct_tree, clamps_direct = neighbor_joining(dm, full_output=True)
+    direct_tree, clamps_direct = neighbor_joining(dm)
     loss_direct = lp_cost(
         leaf_distance_matrix(direct_tree).reordered(dm.labels), dm
     )
     result = train_embedding(dm, EncoderConfig(seed=0))
     den = denoised_metric(result)
-    hyper_tree, clamps_hyper = neighbor_joining(den, full_output=True)
+    hyper_tree, clamps_hyper = neighbor_joining(den)
     loss_hyper = lp_cost(
         leaf_distance_matrix(hyper_tree).reordered(dm.labels), dm
     )

@@ -36,6 +36,7 @@ from hyptree.trees import (
     lca_clan_sizes,
     leaf_distance_matrix,
     midpoint_root,
+    unit_edges,
 )
 
 
@@ -214,7 +215,7 @@ def awkward_cases():
         a, b = (0, 1) if k == 0 else (n + k, k + 1)
         size.append(size[a] + size[b])
         merges.append((a, b, h, size[-1]))
-    dend = Dendrogram(n + 1, tuple(merges), labels + ["s_last"])
+    dend = Dendrogram(tuple(merges), labels + ["s_last"])
     cases = [(save_matrix, reference_save_matrix, dm),
              (save_features, reference_save_features, ft),
              (save_edge_list, reference_save_edge_list, graph),
@@ -335,7 +336,7 @@ class TestRandomBinaryTree:
         counts = {"ab|cd": 0, "ac|bd": 0, "ad|bc": 0}
         for seed in range(3000):
             t = random_binary_tree(4, seed)
-            dm = leaf_distance_matrix(t, unit=True)
+            dm = leaf_distance_matrix(unit_edges(t))
             sums = {
                 "ab|cd": dm.values[0, 1] + dm.values[2, 3],
                 "ac|bd": dm.values[0, 2] + dm.values[1, 3],

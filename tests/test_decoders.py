@@ -15,9 +15,17 @@ from hyptree.decoders import (
     neighbor_joining,
 )
 from hyptree.metrics import DistanceMatrix, ultrametric_check
-from hyptree.trees import leaf_distance_matrix
+from hyptree.trees import WeightedTree, leaf_distance_matrix
 
 TRIPLE = DistanceMatrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+# Strongly non-additive: Neighbor Joining estimates negative branch lengths.
+CLAMPING = DistanceMatrix(list("abcde"), [
+    [0.0, 1.0, 1.0, 1.0, 4.0],
+    [1.0, 0.0, 1.0, 4.0, 1.0],
+    [1.0, 1.0, 0.0, 1.0, 1.0],
+    [1.0, 4.0, 1.0, 0.0, 1.0],
+    [4.0, 1.0, 1.0, 1.0, 0.0],
+])
 
 
 def naive_linkage(values, method):
@@ -197,19 +205,31 @@ def nj_oracle_inputs(seed):
 
 
 class TestNeighborJoining:
+    def test_returns_tree_and_int_clamp_count(self):
+        rng = np.random.default_rng(29)
+        cases = [CLAMPING]
+        for n in (1, 2, 3, 4, 20):
+            vals = np.triu(rng.random((n, n)), 1)
+            cases.append(DistanceMatrix([f"e{k}" for k in range(n)], vals + vals.T))
+        for dm in cases:
+            tree, clamps = neighbor_joining(dm)
+            assert isinstance(tree, WeightedTree) and tree.n_leaves == dm.n
+            assert type(clamps) is int and clamps >= 0
+        assert neighbor_joining(CLAMPING)[1] > 0
+
     def test_two_leaves(self):
         dm = DistanceMatrix(["a", "b"], [[0, 4], [4, 0]])
-        tree = neighbor_joining(dm)
+        tree, _ = neighbor_joining(dm)
         assert len(tree.edges) == 1
         assert tree.edges[0][2] == 4.0
 
     def test_three_leaves_exact(self):
-        tree = neighbor_joining(TRIPLE)
+        tree, _ = neighbor_joining(TRIPLE)
         dm2 = leaf_distance_matrix(tree).reordered(TRIPLE.labels)
         assert np.allclose(dm2.values, TRIPLE.values, atol=1e-12)
 
     def test_single_entity(self):
-        tree = neighbor_joining(DistanceMatrix(["only"], [[0.0]]))
+        tree, _ = neighbor_joining(DistanceMatrix(["only"], [[0.0]]))
         assert len(tree.vertices) == 1
         assert tree.leaf_labels == {0: "only"}
 
@@ -218,7 +238,7 @@ class TestNeighborJoining:
             ["a", "b", "c", "d"],
             [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]],
         )
-        tree, clamps = neighbor_joining(dm, full_output=True)
+        tree, clamps = neighbor_joining(dm)
         assert clamps == 0
         assert sorted(w for _, _, w in tree.edges) == [1.0] * 5
         back = leaf_distance_matrix(tree).reordered(dm.labels)
@@ -236,32 +256,21 @@ class TestNeighborJoining:
                 dict(t.leaf_labels),
             )
             dm = leaf_distance_matrix(t)
-            tree, clamps = neighbor_joining(dm, full_output=True)
+            tree, clamps = neighbor_joining(dm)
             assert clamps == 0
             back = leaf_distance_matrix(tree)
             assert np.abs(back.values - dm.values).max() <= 1e-9
 
     def test_negative_weights_clamped(self):
-        # strongly non-additive matrix forces negative branch estimates
-        vals = np.array(
-            [
-                [0.0, 1.0, 1.0, 1.0, 4.0],
-                [1.0, 0.0, 1.0, 4.0, 1.0],
-                [1.0, 1.0, 0.0, 1.0, 1.0],
-                [1.0, 4.0, 1.0, 0.0, 1.0],
-                [4.0, 1.0, 1.0, 1.0, 0.0],
-            ]
-        )
-        dm = DistanceMatrix(list("abcde"), vals)
-        tree, clamps = neighbor_joining(dm, full_output=True)
+        tree, clamps = neighbor_joining(CLAMPING)
         assert clamps > 0
         assert all(w >= 0.0 for _, _, w in tree.edges)
 
     def test_deterministic_on_ties(self):
         vals = np.ones((5, 5)) - np.eye(5)
         dm = DistanceMatrix(list("abcde"), vals)
-        t1 = neighbor_joining(dm)
-        t2 = neighbor_joining(dm)
+        t1, _ = neighbor_joining(dm)
+        t2, _ = neighbor_joining(dm)
         assert t1.edges == t2.edges
         # every pair ties in Q; leaves 0 and 1 join first, into vertex 5
         assert t1.edges[0][:2] == (0, 5)
@@ -271,14 +280,14 @@ class TestNeighborJoining:
         # in thirds, Q(0, 1) and Q(2, 3) tie, but Q(3, 2) rounds one ulp
         # lower than both; a scan of the upper triangle alone would join 0, 1
         k = np.array([[0, 1, 3, 3], [1, 0, 2, 3], [3, 2, 0, 1], [3, 3, 1, 0]])
-        tree = neighbor_joining(DistanceMatrix(list("abcd"), k / 3.0))
+        tree, _ = neighbor_joining(DistanceMatrix(list("abcd"), k / 3.0))
         assert tree.edges[0][:2] == (2, 4)
         assert tree.edges[1][:2] == (3, 4)
 
     def test_bitwise_matches_copying_reference(self):
         count = 0
         for dm in nj_oracle_inputs(41):
-            tree, clamps = neighbor_joining(dm, full_output=True)
+            tree, clamps = neighbor_joining(dm)
             assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), dm.n
             count += 1
         assert count == 4 * 39
@@ -286,7 +295,7 @@ class TestNeighborJoining:
     def test_bitwise_matches_copying_reference_noisy_n300(self):
         t = random_binary_tree(300, 3)
         dm = graph_leaf_shortest_paths(add_noise_edges(t, 0.3, 4))
-        tree, clamps = neighbor_joining(dm, full_output=True)
+        tree, clamps = neighbor_joining(dm)
         assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
 
 
@@ -381,13 +390,27 @@ class TestLinkageTies:
 
 
 class TestDendrogram:
+    def test_leaf_count_is_label_count(self):
+        assert Dendrogram(((0, 1, 1.0, 2), (2, 3, 2.0, 3)), ["a", "b", "c"]).n == 3
+        assert Dendrogram((), ["a"]).n == 1
+        assert linkage(TRIPLE, "average").n == 3
+
+    def test_merge_count_must_match_labels(self):
+        # Two merges need three leaves; with two labels cluster 2 is no leaf.
+        with pytest.raises(ValueError, match="2 merges for 2 leaves"):
+            Dendrogram(((0, 1, 1.0, 2), (2, 3, 2.0, 3)), ["a", "b"])
+
+    def test_rejects_reused_cluster(self):
+        with pytest.raises(ValueError, match="merge 1 references invalid or merged"):
+            Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 2)), ["a", "b", "c"])
+
     def test_requires_monotone_heights(self):
         with pytest.raises(ValueError, match="height"):
-            Dendrogram(3, ((0, 1, 2.0, 2), (2, 3, 1.0, 3)), ["a", "b", "c"])
+            Dendrogram(((0, 1, 2.0, 2), (2, 3, 1.0, 3)), ["a", "b", "c"])
 
     def test_requires_consistent_sizes(self):
         with pytest.raises(ValueError, match="size"):
-            Dendrogram(3, ((0, 1, 1.0, 2), (2, 3, 2.0, 4)), ["a", "b", "c"])
+            Dendrogram(((0, 1, 1.0, 2), (2, 3, 2.0, 4)), ["a", "b", "c"])
 
     def test_cophenetic_hand_values(self):
         u = dendrogram_to_ultrametric(linkage(TRIPLE, "single"))

@@ -227,6 +227,19 @@ class TestPoincareEmbedding:
         with pytest.raises(ValueError, match="boundary"):
             PoincareEmbedding(["a", "b"], [[0.11, 0.0], [0.0, 0.0]], 100.0)
 
+    def test_points_cannot_change_after_construction(self):
+        src = np.array([[0.1, 0.0], [0.0, 0.0]])
+        emb = PoincareEmbedding(["a", "b"], src, 1.0)
+        src[0, 0] = 2.0
+        assert emb.points[0, 0] == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            emb.points[0, 0] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            emb.points = np.array([[2.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            emb.curvature = 0.0
+        assert embedding_loss(emb, DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])) > 0.0
+
     def test_nan_point_never_reaches_loss_or_gradient(self):
         dm = DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
         for fn in (embedding_loss, loss_gradient):
@@ -271,14 +284,30 @@ class TestEmbeddingLoss:
     def test_p_below_one_or_not_finite_rejected(self, p):
         rng = np.random.default_rng(52)
         emb = random_embedding(rng, 4, 2, 1.0)
-        with pytest.raises(ValueError, match="norm exponent p"):
-            embedding_loss(emb, random_dm(rng, 4), p)
+        dm = random_dm(rng, 4)
+        for fn in (embedding_loss, loss_gradient):
+            with pytest.raises(ValueError, match="norm exponent p"):
+                fn(emb, dm, p)
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(52)
         emb = random_embedding(rng, 4, 2, 1.0)
-        with pytest.raises(ValueError):
-            embedding_loss(emb, random_dm(rng, 5), 2.0)
+        dm = random_dm(rng, 5)
+        for fn in (embedding_loss, loss_gradient):
+            with pytest.raises(ValueError, match="labeled differently"):
+                fn(emb, dm, 2.0)
+
+    def test_labels_must_match_matrix_in_order(self):
+        # Points pair with matrix rows by position, so a permuted or foreign
+        # labeling of the same points would be scored against the wrong rows.
+        rng = np.random.default_rng(54)
+        pts = random_embedding(rng, 3, 2, 1.0).points
+        dm = DistanceMatrix(["a", "b", "c"], random_dm(rng, 3).values)
+        for fn in (embedding_loss, loss_gradient):
+            fn(PoincareEmbedding(["a", "b", "c"], pts, 1.0), dm)
+            for labels in (["c", "b", "a"], ["x", "y", "z"]):
+                with pytest.raises(ValueError, match="labeled differently"):
+                    fn(PoincareEmbedding(labels, pts, 1.0), dm)
 
 
 class TestLossGradient:
@@ -455,7 +484,7 @@ class TestBitwiseReference:
     def test_power_gradient_with_coincident_points(self, p, diagonal):
         rng = np.random.default_rng(70)
         c = 100.0
-        pts = random_embedding(rng, 7, 3, c).points
+        pts = random_embedding(rng, 7, 3, c).points.copy()
         pts[4] = pts[1]
         pts[6] = pts[1]
         # a nonzero diagonal checks that self-pairs contribute exactly nothing
@@ -534,7 +563,7 @@ class TestDenoisedMetric:
     def test_kernel_distances_exactly_symmetric(self):
         rng = np.random.default_rng(64)
         for c in (1.0, 100.0):
-            pts = random_embedding(rng, 30, 4, c, rmax=0.999).points
+            pts = random_embedding(rng, 30, 4, c, rmax=0.999).points.copy()
             # near-coincident pairs, down to one ulp apart
             pts[1] = pts[0] * (1.0 + 1e-13)
             pts[2] = np.nextafter(pts[0], 1.0)

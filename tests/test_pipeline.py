@@ -55,12 +55,13 @@ class TestDecodeAndScore:
     def test_nj_matches_manual(self):
         dm = noisy_input()
         out = decode_and_score(dm, dm, "nj")
-        tree = neighbor_joining(dm)
+        tree, clamps = neighbor_joining(dm)
         rooted = midpoint_root(tree)
         expected = lp_cost(
             leaf_distance_matrix(rooted).reordered(dm.labels), dm, 2.0
         )
         assert out.loss == expected
+        assert out.clamps == clamps
         assert out.tree.root is not None
         assert out.dendrogram is None
 
@@ -86,7 +87,7 @@ class TestDecodeAndScore:
         dm = noisy_input()
         flipped = dm.reordered(dm.labels[::-1])
         fitted = {
-            "nj": leaf_distance_matrix(neighbor_joining(dm)),
+            "nj": leaf_distance_matrix(neighbor_joining(dm)[0]),
             "average": dendrogram_to_ultrametric(linkage(dm, "average")),
         }
         for method, metric in fitted.items():
@@ -171,7 +172,7 @@ class TestCompareObjectives:
         pool = [truth] + [random_binary_tree(7, int(s)) for s in rng.integers(0, 50, 8)]
         target = leaf_distance_matrix(truth).pair_vector()
         resid = [
-            scipy.optimize.nnls(design_matrix(t).matrix, target)[1] for t in pool
+            scipy.optimize.nnls(design_matrix(t), target)[1] for t in pool
         ]
         best = pool[int(np.argmin(resid))]
         assert tree_distance(truth, best) == 0.0

@@ -15,7 +15,6 @@ from hyptree.decoders import dendrogram_to_tree, linkage, neighbor_joining
 from hyptree.metrics import DistanceMatrix, four_point_check, lp_cost
 from hyptree.newick import _format_label, parse_newick, write_newick
 from hyptree.trees import (
-    DesignMatrix,
     TreeStructureError,
     WeightedTree,
     _leaf_path_lengths,
@@ -29,6 +28,7 @@ from hyptree.trees import (
     midpoint_root_and_metric,
     tree_distance,
     trim_root,
+    unit_edges,
 )
 
 
@@ -85,13 +85,13 @@ class TestWeightedTree:
         assert leaf_distance_matrix(t).values[0, 1] == 0.0
 
 
-def dijkstra_leaf_path_lengths(tree, unit=False):
+def dijkstra_leaf_path_lengths(tree):
     """Reference: one csgraph.dijkstra call from every leaf over the edge list."""
     leaves = tree.sorted_leaves()
     pos = {v: k for k, v in enumerate(tree.vertices)}
     rows = [pos[u] for u, _, _ in tree.edges]
     cols = [pos[v] for _, v, _ in tree.edges]
-    weights = [1.0 if unit else w for _, _, w in tree.edges]
+    weights = [w for _, _, w in tree.edges]
     m = len(tree.vertices)
     graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(m, m), dtype=np.float64)
     idx = [pos[v] for _, v in leaves]
@@ -135,7 +135,7 @@ def leaf_metric_cases():
                   WeightedTree(t.vertices[::-1], t.edges, dict(t.leaf_labels))]
     for n, seed in ((8, 6), (40, 7), (128, 8)):
         graph = add_noise_edges(random_binary_tree(n, seed), 0.3, seed + 1)
-        nj = neighbor_joining(graph_leaf_shortest_paths(graph))
+        nj, _ = neighbor_joining(graph_leaf_shortest_paths(graph))
         cases += [nj, midpoint_root(nj), with_zero_weights(nj, rng),
                   dendrogram_to_tree(linkage(graph_leaf_shortest_paths(graph), "average"))]
     return cases
@@ -145,9 +145,9 @@ class TestLeafPathLengths:
     def test_bitwise_matches_dijkstra(self):
         asymmetric = 0
         for t in leaf_metric_cases():
-            for unit in (False, True):
-                leaves, dist = _leaf_path_lengths(t, unit=unit)
-                ref_leaves, ref = dijkstra_leaf_path_lengths(t, unit=unit)
+            for tree in (t, unit_edges(t)):
+                leaves, dist = _leaf_path_lengths(tree)
+                ref_leaves, ref = dijkstra_leaf_path_lengths(tree)
                 assert leaves == ref_leaves
                 assert dist.shape == ref.shape and dist.dtype == ref.dtype
                 assert dist.tobytes() == ref.tobytes()
@@ -233,12 +233,11 @@ def reference_design_matrix(tree):
             a, b = parent[a], parent[b]
         return out + tail[::-1]
 
-    pairs, rows = [], np.zeros((n * (n - 1) // 2, len(tree.edges)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[len(pairs), path_edges(leaves[i][1], leaves[j][1])] = 1.0
-            pairs.append((leaves[i][0], leaves[j][0]))
-    return DesignMatrix(tuple(pairs), tuple((u, v) for u, v, _ in tree.edges), rows)
+    rows = np.zeros((n * (n - 1) // 2, len(tree.edges)))
+    iu, ju = np.triu_indices(n, 1)
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        rows[k, path_edges(leaves[i][1], leaves[j][1])] = 1.0
+    return rows
 
 
 def reference_midpoint_root(tree):
@@ -317,9 +316,8 @@ class TestWalkMatchesReference:
     def test_design_matrix(self):
         for t in walk_reference_cases():
             got, ref = design_matrix(t), reference_design_matrix(t)
-            assert (got.pairs, got.edge_ends) == (ref.pairs, ref.edge_ends)
-            assert got.matrix.shape == ref.matrix.shape
-            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
     def test_midpoint_root(self):
         cases = [t for t in walk_reference_cases() if t.root is None and t.n_leaves >= 2]
@@ -481,8 +479,8 @@ class TestDesignMatrix:
     def test_two_leaf(self):
         t = WeightedTree((0, 1), ((0, 1, 3.0),), {0: "a", 1: "b"})
         d = design_matrix(t)
-        assert d.matrix.shape == (1, 1)
-        assert d.matrix[0, 0] == 1.0
+        assert d.shape == (1, 1)
+        assert d[0, 0] == 1.0
 
     def test_star_rows(self):
         t = WeightedTree(
@@ -491,16 +489,25 @@ class TestDesignMatrix:
             {0: "a", 1: "b", 2: "c"},
         )
         d = design_matrix(t)
-        assert d.matrix.shape == (3, 3)
-        assert np.all(d.matrix.sum(axis=1) == 2.0)
+        assert d.shape == (3, 3)
+        assert np.all(d.sum(axis=1) == 2.0)
 
     def test_reproduces_leaf_matrix(self):
+        # Rows in pair_vector order of the sorted labels, columns in edge
+        # order: labels here are not in vertex order, and the trees' edges
+        # are listed in several orders.
+        trees = [caterpillar(9), zero_edge_tree(), parse_newick("((z:1,b:2):0.5,(y:3,a:4):1);")]
         for seed in range(6):
             t = random_binary_tree(12, seed)
+            dm = leaf_distance_matrix(t)
+            nj, _ = neighbor_joining(dm.reordered(dm.labels[::-1]))
+            trees += [t, midpoint_root(t), nj, replace(t, edges=t.edges[::-1])]
+        for t in trees:
             d = design_matrix(t)
+            assert d.dtype == np.float64
             w = np.array([e[2] for e in t.edges])
-            assert np.allclose(
-                d.matrix @ w, leaf_distance_matrix(t).pair_vector(), atol=1e-12
+            np.testing.assert_allclose(
+                d @ w, leaf_distance_matrix(t).pair_vector(), rtol=1e-12, atol=0.0
             )
 
 
@@ -547,9 +554,9 @@ class TestFitEdgeWeights:
                 fitted = fit_edge_weights(tree, noisy)
                 d = design_matrix(tree)
                 target = noisy.reordered([lbl for lbl, _ in tree.sorted_leaves()]).pair_vector()
-                w_oracle = projected_gradient_oracle(d.matrix, target)
-                obj = np.linalg.norm(d.matrix @ np.array([e[2] for e in fitted.edges]) - target)
-                obj_oracle = np.linalg.norm(d.matrix @ w_oracle - target)
+                w_oracle = projected_gradient_oracle(d, target)
+                obj = np.linalg.norm(d @ np.array([e[2] for e in fitted.edges]) - target)
+                obj_oracle = np.linalg.norm(d @ w_oracle - target)
                 assert obj <= obj_oracle + 1e-6
 
     def test_never_negative_never_worse_than_zero(self):
@@ -564,11 +571,6 @@ class TestFitEdgeWeights:
         zero_cost = lp_cost(DistanceMatrix(dm.labels, np.zeros_like(dm.values)), dm)
         assert lp_cost(fit_lm, dm) <= zero_cost
 
-    def test_unsupported_p(self):
-        t = random_binary_tree(5, 1)
-        with pytest.raises(NotImplementedError):
-            fit_edge_weights(t, leaf_distance_matrix(t), p=1.0)
-
 
 class TestFitEdgeWeightsAtScale:
     @staticmethod
@@ -578,8 +580,8 @@ class TestFitEdgeWeightsAtScale:
 
     def test_objective_matches_dense_nnls(self):
         t, dm = self.noisy_case(64, 5)
-        for tree in (t, midpoint_root(t), neighbor_joining(dm)):
-            a = design_matrix(tree).matrix
+        for tree in (t, midpoint_root(t), neighbor_joining(dm)[0]):
+            a = design_matrix(tree)
             d = dm.reordered([lbl for lbl, _ in tree.sorted_leaves()]).pair_vector()
             w = np.array([e[2] for e in fit_edge_weights(tree, dm).edges])
             dense = scipy.optimize.nnls(a, d)[1]
@@ -764,6 +766,18 @@ class TestTreeDistance:
         )
         assert tree_distance(t1, relabeled) == tree_distance(scaled, relabeled)
 
+    def test_unit_edges_give_edge_counts(self):
+        # zero_edge_tree: a-7, b-7, 7-9, 9-c, 9-d.
+        hops = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
+        assert np.array_equal(leaf_distance_matrix(unit_edges(zero_edge_tree())).values, hops)
+        for t in (caterpillar(17), midpoint_root(random_binary_tree(33, 4))):
+            unit = unit_edges(t)
+            assert (unit.vertices, unit.leaf_labels, unit.root) == (
+                t.vertices, t.leaf_labels, t.root)
+            assert [e[:2] for e in unit.edges] == [e[:2] for e in t.edges]
+            d = leaf_distance_matrix(unit).values
+            assert np.array_equal(d, np.round(d)) and d.max() >= 2.0
+
     def test_leaf_set_mismatch(self):
         t1 = quartet_tree()
         t2 = WeightedTree((0, 1), ((0, 1, 1.0),), {0: "a", 1: "b"})
@@ -783,15 +797,15 @@ class TestConvexity:
             t = random_binary_tree(int(rng.integers(4, 10)), int(rng.integers(100)))
             d = design_matrix(t)
             target = leaf_distance_matrix(t).pair_vector() + 0.3 * rng.standard_normal(
-                d.matrix.shape[0]
+                d.shape[0]
             )
-            w1 = rng.random(d.matrix.shape[1])
-            w2 = rng.random(d.matrix.shape[1])
+            w1 = rng.random(d.shape[1])
+            w2 = rng.random(d.shape[1])
             lam = float(rng.random())
             for p in (1.0, 2.0):
                 def cost(w):
                     return float(
-                        np.sum(np.abs(d.matrix @ w - target) ** p) ** (1.0 / p)
+                        np.sum(np.abs(d @ w - target) ** p) ** (1.0 / p)
                     )
                 mixed = cost(lam * w1 + (1 - lam) * w2)
                 assert mixed <= lam * cost(w1) + (1 - lam) * cost(w2) + 1e-12
