@@ -226,15 +226,18 @@ def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
     """Lower-bound delta from m uniformly sampled distinct quadruples.
 
     Index quadruples are drawn from ``default_rng(seed)`` as int32 in chunks
-    of ``_SAMPLE_CHUNK`` rows, each just before it is scanned, and the first
-    m whose four points are distinct are scored, so memory does not grow
-    with m.  numpy draws bounded integers below 2**32 with the same buffered
-    32-bit routine for int32 and int64, and the generator keeps the unused
-    half of a 64-bit output between calls, so the indices are those of one
-    call of any size and the result depends only on (matrix, m, seed).  Each
-    pair sum takes its two distances from the flattened matrix with
-    ``take``, into buffers allocated once, and the gap of every row not kept
-    is set to 0 before the maximum, so kept rows are never copied out.
+    of ``_SAMPLE_CHUNK`` rows, and the first m whose four points are distinct
+    are scored, so memory does not grow with m.  numpy draws bounded integers
+    below 2**32 with the same buffered 32-bit routine for int32 and int64,
+    and the generator keeps the unused half of a 64-bit output between
+    calls, so the indices are those of one call of any size and the result
+    depends only on (matrix, m, seed).  One worker thread draws the next
+    chunk into a second buffer while the caller scores the current one; it
+    alone uses the generator, in the same order, so the indices are those of
+    drawing each chunk just before it is scored.  Each pair sum takes its two
+    distances from the flattened matrix with ``take``, into buffers
+    allocated once, and the gap of every row not kept is set to 0 before
+    the maximum, so kept rows are never copied out.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
@@ -245,33 +248,41 @@ def delta_sampled(dm: DistanceMatrix, m: int, seed: int) -> HyperbolicityReport:
     flat = dm.values.ravel()
     rows = _SAMPLE_CHUNK
     s1, s2, s3, t, u = np.empty((5, rows))
-    quad = np.empty((4, rows), dtype=np.intp)
-    a, b, c, e = quad
+    quads = np.empty((2, 4, rows), dtype=np.intp)
     an, bn, cn, at = np.empty((4, rows), dtype=np.intp)
     drop, same = np.empty((2, rows), dtype=bool)
-    best, got = 0.0, 0
-    while got < m:
+
+    def draw(k):
         # One contiguous intp row per point: no casts or strides below.
-        np.copyto(quad, rng.integers(0, n, size=(rows, 4), dtype=np.int32).T)
-        np.equal(a, b, out=drop)
-        for x, y in ((a, c), (a, e), (b, c), (b, e), (c, e)):
-            np.logical_or(drop, np.equal(x, y, out=same), out=drop)
-        kept = rows - int(np.count_nonzero(drop))
-        if got + kept > m:
-            drop[np.flatnonzero(~drop)[m - got] :] = True
-        got = min(got + kept, m)
-        np.multiply(a, n, out=an)
-        np.multiply(b, n, out=bn)
-        np.multiply(c, n, out=cn)
-        # The pairings (ab|ce), (ac|be), (ae|bc).  The indices are in range;
-        # "clip" lets take write to out unbuffered.
-        for out, (x, y), (z, w) in ((s1, (an, b), (cn, e)), (s2, (an, c), (bn, e)),
-                                    (s3, (an, e), (bn, c))):
-            np.take(flat, np.add(x, y, out=at), out=out, mode="clip")
-            np.add(out, np.take(flat, np.add(z, w, out=at), out=u, mode="clip"), out=out)
-        gap = _quad_gap(s1, s2, s3, t)
-        np.copyto(gap, 0.0, where=drop)
-        best = max(best, float(gap.max()))
+        np.copyto(quads[k % 2], rng.integers(0, n, size=(rows, 4), dtype=np.int32).T)
+        return quads[k % 2]
+
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw, 0)
+        best, got, k = 0.0, 0, 0
+        while got < m:
+            a, b, c, e = ahead.result()
+            k += 1
+            ahead = pool.submit(draw, k)
+            np.equal(a, b, out=drop)
+            for x, y in ((a, c), (a, e), (b, c), (b, e), (c, e)):
+                np.logical_or(drop, np.equal(x, y, out=same), out=drop)
+            kept = rows - int(np.count_nonzero(drop))
+            if got + kept > m:
+                drop[np.flatnonzero(~drop)[m - got] :] = True
+            got = min(got + kept, m)
+            np.multiply(a, n, out=an)
+            np.multiply(b, n, out=bn)
+            np.multiply(c, n, out=cn)
+            # The pairings (ab|ce), (ac|be), (ae|bc).  The indices are in
+            # range; "clip" lets take write to out unbuffered.
+            for out, (x, y), (z, w) in ((s1, (an, b), (cn, e)), (s2, (an, c), (bn, e)),
+                                        (s3, (an, e), (bn, c))):
+                np.take(flat, np.add(x, y, out=at), out=out, mode="clip")
+                np.add(out, np.take(flat, np.add(z, w, out=at), out=u, mode="clip"), out=out)
+            gap = _quad_gap(s1, s2, s3, t)
+            np.copyto(gap, 0.0, where=drop)
+            best = max(best, float(gap.max()))
     return HyperbolicityReport(best / 2.0, "sampled", m, seed)
 
 

@@ -1,10 +1,12 @@
 """Neighbor Joining and linkage decoder checks, including naive oracles."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from hyptree import decoders
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.decoders import (
     LINKAGE_METHODS,
@@ -186,6 +188,18 @@ def copying_neighbor_joining(values):
     return tuple(edges), clamps
 
 
+def spy_searches(monkeypatch):
+    """Record the active-node count of every sorted-row join search."""
+    search, seen = decoders._PartnerRows.search, []
+
+    def spy(self, r):
+        seen.append(r.size)
+        return search(self, r)
+
+    monkeypatch.setattr(decoders._PartnerRows, "search", spy)
+    return seen
+
+
 def nj_oracle_inputs(seed):
     """Non-metric reals, ties, Euclidean points, n = 2..40.
 
@@ -298,6 +312,46 @@ class TestNeighborJoining:
         tree, clamps = neighbor_joining(dm)
         assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 16])
+    def test_sorted_row_search_matches_copying_reference(self, monkeypatch, chunk):
+        # With both thresholds at 3 every join comes from the sorted rows;
+        # one- and two-entry chunks make most searches continue past the
+        # first chunk, over dead partners too.
+        monkeypatch.setattr(decoders, "_SORTED_MIN_M", 3)
+        monkeypatch.setattr(decoders, "_SORTED_MIN_N", 3)
+        monkeypatch.setattr(decoders, "_SEARCH_CHUNK", chunk)
+        searches = spy_searches(monkeypatch)
+        for dm in nj_oracle_inputs(41):
+            searches.clear()
+            tree, clamps = neighbor_joining(dm)
+            assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), dm.n
+            assert searches == list(range(dm.n, 3, -1)), dm.n
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_sorted_row_search_matches_copying_reference_n512(self, monkeypatch, noisy):
+        # At the default threshold the joins above it use the sorted rows and
+        # the rest scan Q in full.
+        searches = spy_searches(monkeypatch)
+        t = random_binary_tree(512, 5)
+        dm = graph_leaf_shortest_paths(add_noise_edges(t, 0.3, 6)) if noisy else leaf_distance_matrix(t)
+        tree, clamps = neighbor_joining(dm)
+        assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
+        assert searches == list(range(512, decoders._SORTED_MIN_M, -1))
+
+    def test_sorted_rows_only_above_leaf_threshold(self, monkeypatch):
+        # Up to _SORTED_MIN_N leaves every join scans Q in full; above it the
+        # joins down to _SORTED_MIN_M active nodes search the sorted rows.
+        monkeypatch.setattr(decoders, "_SORTED_MIN_M", 5)
+        monkeypatch.setattr(decoders, "_SORTED_MIN_N", 9)
+        searches = spy_searches(monkeypatch)
+        full = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(12, 2), 0.3, 3))
+        for n in (9, 10, 12):
+            dm = DistanceMatrix(full.labels[:n], full.values[:n, :n])
+            searches.clear()
+            tree, clamps = neighbor_joining(dm)
+            assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), n
+            assert searches == ([] if n == 9 else list(range(n, 5, -1))), n
+
 
 class TestLinkage:
     def test_single_hand_trace(self):
@@ -403,6 +457,19 @@ class TestDendrogram:
     def test_rejects_reused_cluster(self):
         with pytest.raises(ValueError, match="merge 1 references invalid or merged"):
             Dendrogram(((0, 1, 1.0, 2), (0, 2, 2.0, 2)), ["a", "b", "c"])
+
+    def test_frozen_with_tuple_labels(self):
+        dm = DistanceMatrix(list("abc"), [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        dend = linkage(dm, "average")
+        assert dend.labels == ("a", "b", "c")
+        with pytest.raises(AttributeError):
+            dend.labels.append("x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dend.labels = ["a", "b", "c", "x"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dend.merges = ()
+        assert dendrogram_to_ultrametric(dend).labels == ["a", "b", "c"]
+        assert dendrogram_to_tree(dend).n_leaves == 3
 
     def test_requires_monotone_heights(self):
         with pytest.raises(ValueError, match="height"):

@@ -376,6 +376,23 @@ class TestDeltaSampled:
             for m in (1, 7, 1023, 1025, 3000):
                 assert delta_sampled(dm, m, seed=5).delta == compacting_delta_sampled(dm, m, 5), (n, m)
 
+    def test_draw_ahead_worker_matches_reference(self):
+        # A worker thread draws the next chunk while the caller scores the
+        # current one; the generator is used in the same order as drawing
+        # every chunk just before it is scored, so the report equals the
+        # reference's, and the worker is gone when the call returns.  Neither
+        # m is a multiple of the chunk, so the last chunk is cut.
+        rng = np.random.default_rng(23)
+        chunk = metrics._SAMPLE_CHUNK
+        for n in (5, 192):
+            dm = reference_inputs(rng, n)[0]
+            for m in (3 * chunk + 5, 10**5 + 3):
+                before = threading.active_count()
+                report = delta_sampled(dm, m, seed=4)
+                assert threading.active_count() == before
+                assert report.delta == compacting_delta_sampled(dm, m, 4), (n, m)
+                assert report.quadruples_evaluated == m, (n, m)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             delta_sampled(QUARTET, 0, seed=0)
