@@ -19,6 +19,12 @@ import numpy as np
 SYMMETRY_TOL = 1e-6
 
 
+def upper_mask(n: int) -> np.ndarray:
+    """n x n boolean mask of the pairs i < j; indexing a matrix with it reads
+    them in ``pair_vector`` order."""
+    return ~np.tri(n, dtype=bool)
+
+
 @dataclass
 class DistanceMatrix:
     """Symmetric nonnegative dissimilarities over n labeled entities."""
@@ -61,9 +67,12 @@ class DistanceMatrix:
         return len(self.labels)
 
     def pair_vector(self) -> np.ndarray:
-        """Entries over unordered pairs i < j, in label-index order."""
-        iu = np.triu_indices(self.n, 1)
-        return self.values[iu]
+        """Entries over unordered pairs i < j, in label-index order.
+
+        The pairs run row by row, (0, 1), (0, 2), ..., (n-2, n-1): the order
+        of scipy's condensed matrices and of ``np.triu_indices(n, 1)``.
+        """
+        return self.values[upper_mask(self.n)]
 
     def scaled(self, s: float) -> "DistanceMatrix":
         return DistanceMatrix(list(self.labels), self.values * s)
@@ -315,11 +324,24 @@ def check_exponent(p: float) -> float:
 
 
 def lp_cost(fitted: DistanceMatrix, target: DistanceMatrix, p: float = 2.0) -> float:
-    """l_p distortion (sum over unordered pairs of |fit - target|^p)^(1/p)."""
-    check_exponent(p)
+    """l_p distortion (sum over unordered pairs of |fit - target|^p)^(1/p).
+
+    Computed by :func:`lp_pair_cost` on the two matrices' pair vectors.
+    """
     if fitted.labels != target.labels:
         raise ValueError("matrices are labeled differently; align them first")
-    diff = np.abs(fitted.values - target.values)[np.triu_indices(fitted.n, 1)]
-    if diff.size == 0:
+    return lp_pair_cost(fitted.pair_vector(), target.pair_vector(), p)
+
+
+def lp_pair_cost(fitted: np.ndarray, target: np.ndarray, p: float = 2.0) -> float:
+    """l_p distortion between two pair vectors over the same labels.
+
+    Sums |fit - target|^p over the pairs in ``pair_vector`` order, so the
+    result does not depend on whether the vectors came from matrices.
+    """
+    check_exponent(p)
+    if fitted.shape != target.shape:
+        raise ValueError(f"pair vectors of shapes {fitted.shape} and {target.shape} differ")
+    if fitted.size == 0:
         return 0.0
-    return float(np.sum(diff**p) ** (1.0 / p))
+    return float(np.sum(np.abs(fitted - target) ** p) ** (1.0 / p))

@@ -17,13 +17,21 @@ from .data import random_binary_tree
 from .decoders import (
     LINKAGE_METHODS,
     Dendrogram,
+    cophenetic_pairs,
     dendrogram_to_tree,
     dendrogram_to_ultrametric,
     linkage,
     neighbor_joining,
 )
 from .embedding import EncoderConfig, denoised_metric, train_embedding
-from .metrics import DistanceMatrix, HyperbolicityReport, delta_exact, delta_sampled, lp_cost
+from .metrics import (
+    DistanceMatrix,
+    HyperbolicityReport,
+    delta_exact,
+    delta_sampled,
+    lp_cost,
+    lp_pair_cost,
+)
 from .report import DecoderRow, ObjectiveStudyResult, RunReport
 from .trees import (
     WeightedTree,
@@ -82,26 +90,35 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
 
     Tree decoders are midpoint-rooted and scored on the leaf metric of the
     unrooted tree, which equals the rooted tree's in exact arithmetic;
-    linkage decoders are scored on their cophenetic (ultrametric) matrix.
-    A decoded matrix is reordered to ``eval_dm``'s labels only when its
-    label order differs.
+    linkage decoders are scored on their cophenetic (ultrametric) heights.
+    Both are scored as pair vectors, with no n x n matrix built, when the
+    decoder's labels (sorted for a tree, ``decode_dm``'s for a dendrogram)
+    are in ``eval_dm``'s order.  Otherwise the fitted matrix is built and
+    reordered to ``eval_dm``'s labels.  Either way the loss is
+    ``lp_cost(fitted.reordered(eval_dm.labels), eval_dm, p)``, bit for bit.
     """
     if method == "nj":
         tree, clamps = neighbor_joining(decode_dm)
         if tree.n_leaves >= 2:
-            rooted, fitted = midpoint_root_and_metric(tree)
+            rooted, pairs = midpoint_root_and_metric(tree)
         else:
-            rooted, fitted = tree, leaf_distance_matrix(tree)
-        return DecodeOutcome(_score(fitted, eval_dm, p), clamps, rooted, None)
+            rooted, pairs = tree, np.zeros(0)
+        labels = [lbl for lbl, _ in tree.sorted_leaves()]
+        loss = _score(labels, pairs, lambda: leaf_distance_matrix(tree), eval_dm, p)
+        return DecodeOutcome(loss, clamps, rooted, None)
     dend = linkage(decode_dm, method)
-    loss = _score(dendrogram_to_ultrametric(dend), eval_dm, p)
+    loss = _score(dend.labels, cophenetic_pairs(dend),
+                  lambda: dendrogram_to_ultrametric(dend), eval_dm, p)
     return DecodeOutcome(loss, None, dendrogram_to_tree(dend), dend)
 
 
-def _score(fitted: DistanceMatrix, eval_dm: DistanceMatrix, p: float) -> float:
-    if fitted.labels != eval_dm.labels:
-        fitted = fitted.reordered(eval_dm.labels)
-    return lp_cost(fitted, eval_dm, p)
+def _score(labels, pairs: np.ndarray, fitted, eval_dm: DistanceMatrix, p: float) -> float:
+    """l_p loss against ``eval_dm`` of a metric given as its pair vector over
+    ``labels``; ``fitted()`` builds it as a matrix, which is needed only to
+    reorder it when ``labels`` are not in ``eval_dm``'s order."""
+    if list(labels) == eval_dm.labels:
+        return lp_pair_cost(pairs, eval_dm.pair_vector(), p)
+    return lp_cost(fitted().reordered(eval_dm.labels), eval_dm, p)
 
 
 def run_pipeline(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, upper_mask
 
 
 class TreeStructureError(ValueError):
@@ -182,10 +182,7 @@ def _leaf_path_lengths(tree: WeightedTree, walk=None):
 
 def leaf_distance_matrix(tree: WeightedTree) -> DistanceMatrix:
     """Pairwise path distances between labeled leaves, labels in sorted order."""
-    return _symmetrised(*_leaf_path_lengths(tree))
-
-
-def _symmetrised(leaves, dist) -> DistanceMatrix:
+    leaves, dist = _leaf_path_lengths(tree)
     return DistanceMatrix([lbl for lbl, _ in leaves], (dist + dist.T) / 2.0)
 
 
@@ -338,39 +335,49 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
     root; otherwise the straddling edge is split in two.
     """
     walk = _walk(tree, tree.vertices[0])
-    return _root_at_midpoint(tree, walk, *_leaf_path_lengths(tree, walk=walk))
+    leaves, dist = _leaf_path_lengths(tree, walk=walk)
+    return _root_at_midpoint(tree, walk, leaves, dist[upper_mask(len(leaves))])
 
 
-def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, DistanceMatrix]:
-    """``midpoint_root(tree)`` and ``leaf_distance_matrix(tree)`` from one
-    leaf path-length pass.
+def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, np.ndarray]:
+    """``midpoint_root(tree)`` and the ``pair_vector`` of
+    ``leaf_distance_matrix(tree)``, from one leaf path-length pass.
 
-    The metric is that of the unrooted input.  In exact arithmetic it equals
-    the rooted tree's metric; splitting an edge can change the latter's path
-    sums in the last bit.
+    The pairs are over the sorted leaf labels, and no n x n matrix is built
+    for them: each is the mean of its two raw path lengths, rounded as
+    ``leaf_distance_matrix`` rounds it.  The metric is that of the unrooted
+    input.  In exact arithmetic it equals the rooted tree's metric;
+    splitting an edge can change the latter's path sums in the last bit.
     """
     walk = _walk(tree, tree.vertices[0])
     leaves, dist = _leaf_path_lengths(tree, walk=walk)
-    return _root_at_midpoint(tree, walk, leaves, dist), _symmetrised(leaves, dist)
+    mask = upper_mask(len(leaves))
+    upper = dist[mask]
+    return _root_at_midpoint(tree, walk, leaves, upper), (upper + dist.T[mask]) / 2.0
 
 
-def _root_at_midpoint(tree: WeightedTree, walk, leaves, dist: np.ndarray) -> WeightedTree:
-    """Midpoint rooting given the walk and the raw (unsymmetrised) leaf path
-    lengths that ``_leaf_path_lengths`` made from it."""
+def _root_at_midpoint(tree: WeightedTree, walk, leaves, upper: np.ndarray) -> WeightedTree:
+    """Midpoint rooting given the walk, and the raw (unsymmetrised) leaf path
+    lengths that ``_leaf_path_lengths`` made from it over the pairs i < j, in
+    ``pair_vector`` order."""
     if tree.root is not None:
         raise ValueError("tree is already rooted; trim_root it first")
     if tree.n_leaves < 2:
         raise ValueError("midpoint rooting needs at least two labeled leaves")
-    # Row-major upper-triangle order visits pairs in label order, so argmax,
-    # which returns the first maximum, picks the lexicographically smallest
-    # diameter pair.  The pair and the total come from the raw matrix: the
-    # symmetrised one can round the diameter differently.
-    iu, ju = np.triu_indices(len(leaves), 1)
-    k = int(np.argmax(dist[iu, ju]))
-    total = float(dist[iu[k], ju[k]])
+    # The pairs come row by row, so argmax, which returns the first maximum,
+    # picks the lexicographically smallest diameter pair (row, col); its row
+    # is the first whose pairs end after position k.  The pair and the total
+    # come from the raw lengths: symmetrised ones can round the diameter
+    # differently.
+    n = len(leaves)
+    k = int(np.argmax(upper))
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    row = int(np.searchsorted(ends, k, side="right"))
+    col = k - int(ends[row]) + n
+    total = float(upper[k])
     order, up, edge = walk
     pos = {v: i for i, v in enumerate(order)}
-    path = _path(up, pos[leaves[iu[k]][1]], pos[leaves[ju[k]][1]])
+    path = _path(up, pos[leaves[row][1]], pos[leaves[col][1]])
     vb = order[path[-1]]
 
     target = total / 2.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def nj_oracle_inputs(seed):
             yield DistanceMatrix([str(i) for i in range(n)], vals)
 
 
+def forced_first_join(n, a, b, seed):
+    """Reals in [1, 1.1] but 0.1 at (a, b), which makes (a, b) the first join."""
+    rng = np.random.default_rng(seed)
+    vals = np.triu(1.0 + 0.1 * rng.random((n, n)), 1)
+    vals = vals + vals.T
+    vals[a, b] = vals[b, a] = 0.1
+    return DistanceMatrix([str(k) for k in range(n)], vals)
+
+
 class TestNeighborJoining:
     def test_returns_tree_and_int_clamp_count(self):
         rng = np.random.default_rng(29)
@@ -353,6 +363,40 @@ class TestNeighborJoining:
             assert searches == ([] if n == 9 else list(range(n, 5, -1))), n
 
 
+    @pytest.mark.parametrize("sorted_rows", [False, True])
+    def test_deletion_at_block_edges_matches_copying_reference(self, monkeypatch, sorted_rows):
+        # Deleting the last slot (j = m - 1) moves no block; joining slots 0
+        # and 1 moves the whole lower-right block and row and column 0 beside
+        # it.  With both thresholds at 3 every join searches the sorted rows.
+        if sorted_rows:
+            monkeypatch.setattr(decoders, "_SORTED_MIN_M", 3)
+            monkeypatch.setattr(decoders, "_SORTED_MIN_N", 3)
+        # (At m = 4, Q(0, 1) always ties with Q(2, 3), so n starts at 5.)
+        for n in (5, 9, 40):
+            for a, b in ((n - 2, n - 1), (0, 1), (0, n - 1)):
+                dm = forced_first_join(n, a, b, seed=n)
+                tree, clamps = neighbor_joining(dm)
+                assert [u for u, _, _ in tree.edges[:2]] == [a, b], (n, a, b)
+                assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), (n, a, b)
+
+    def test_peak_memory_n512(self):
+        # NJ holds the working matrix (2 MiB), the sorted partner rows
+        # (3.1 MiB), a Q buffer for the last 192 active nodes (0.28 MiB) and
+        # the deletion's scratch buffer (0.5 MiB); on this input its traced
+        # peak is 6.25 MiB.  Deleting a node through overlapping slice
+        # assignments, which numpy copies through a temporary of up to
+        # 2 MiB, peaked at 7.08 MiB.
+        t = random_binary_tree(512, 0)
+        dm = graph_leaf_shortest_paths(add_noise_edges(t, 0.3, 1))
+        tracemalloc.start()
+        try:
+            neighbor_joining(dm)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5
+
+
 class TestLinkage:
     def test_single_hand_trace(self):
         dend = linkage(TRIPLE, "single")
@@ -435,6 +479,21 @@ class TestLinkageTies:
                     assert d <= closest + 1e-12, (method, k)
                     assert abs(h - d) <= 1e-12, (method, k)
                     shapes[dm.n + k] = (shapes.pop(a), shapes.pop(b))
+
+    def test_merges_match_per_row_conversion(self):
+        # One tolist() of scipy's merge table gives the same ints and floats
+        # as converting its numpy scalars one by one.
+        from scipy.cluster import hierarchy
+        from scipy.spatial.distance import squareform
+        for dm in tied_matrices(40, 43):
+            for method in LINKAGE_METHODS:
+                z = hierarchy.linkage(squareform(dm.values, checks=False), method)
+                want = tuple(
+                    (int(min(a, b)), int(max(a, b)), float(h), int(size)) for a, b, h, size in z
+                )
+                merges = linkage(dm, method).merges
+                assert merges == want, method
+                assert {tuple(map(type, mg)) for mg in merges} == {(int, int, float, int)}
 
     def test_single_cophenetic_matches_oracle(self):
         for dm in tied_matrices(150, 38):

@@ -16,6 +16,7 @@ from hyptree.metrics import (
     four_point_check,
     gromov_product,
     lp_cost,
+    lp_pair_cost,
     ultrametric_check,
 )
 
@@ -161,6 +162,16 @@ class TestDistanceMatrix:
             finally:
                 tracemalloc.stop()
             assert peak <= 4.5
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 300])
+    def test_pair_vector_matches_triu_indices_gather(self, n):
+        rng = np.random.default_rng(40 + n)
+        upper = np.triu(rng.random((n, n)), 1)
+        dm = DistanceMatrix([str(i) for i in range(n)], upper + upper.T)
+        want = dm.values[np.triu_indices(n, 1)]
+        got = dm.pair_vector()
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="asymmetry"):
@@ -480,6 +491,14 @@ class TestLpCost:
         other = DistanceMatrix(["a", "b", "c", "e"], QUARTET.values)
         with pytest.raises(ValueError):
             lp_cost(QUARTET, other, 2.0)
+
+    def test_pair_cost_checks_shape_and_exponent(self):
+        pairs = QUARTET.pair_vector()
+        assert lp_pair_cost(pairs, pairs + 1.0, 1.0) == 6.0
+        with pytest.raises(ValueError, match="shapes"):
+            lp_pair_cost(pairs, pairs[:1], 2.0)
+        with pytest.raises(ValueError, match="norm exponent p"):
+            lp_pair_cost(pairs, pairs, 0.5)
 
 
 class TestDeltaFourPointEquivalence:

@@ -6,10 +6,16 @@ import scipy.optimize
 
 import hyptree.pipeline as pipeline_mod
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
-from hyptree.decoders import dendrogram_to_ultrametric, linkage, neighbor_joining
+from hyptree.decoders import (
+    LINKAGE_METHODS,
+    dendrogram_to_ultrametric,
+    linkage,
+    neighbor_joining,
+)
 from hyptree.embedding import EncoderConfig
-from hyptree.metrics import delta_exact, lp_cost
+from hyptree.metrics import DistanceMatrix, delta_exact, lp_cost
 from hyptree.pipeline import (
+    ALL_DECODERS,
     compare_objectives,
     decode_and_score,
     measure_delta,
@@ -28,6 +34,23 @@ def noisy_input(n=16, rate=0.3, seed=0):
     t = random_binary_tree(n, seed)
     g = add_noise_edges(t, rate, seed + 1)
     return graph_leaf_shortest_paths(g)
+
+
+def triu_lp_cost(fitted, target, p):
+    """l_p loss of two aligned matrices over the pairs ``np.triu_indices`` gathers."""
+    diff = np.abs(fitted.values - target.values)[np.triu_indices(fitted.n, 1)]
+    return 0.0 if diff.size == 0 else float(np.sum(diff**p) ** (1.0 / p))
+
+
+def scoring_inputs():
+    """Integer entries 0-2, so Q and merge heights tie and some off-diagonal
+    entries are zero, with labels that sort in index order; then a noisy
+    tree metric whose labels do not ("t10" < "t2")."""
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3, 5, 40, 300):
+        vals = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
+        yield DistanceMatrix([f"e{k:03d}" for k in range(n)], vals + vals.T)
+    yield noisy_input(n=40, seed=3)
 
 
 SMALL_CFG = EncoderConfig(seed=0, total_epochs=120, burnin_epochs=12)
@@ -93,6 +116,35 @@ class TestDecodeAndScore:
         for method, metric in fitted.items():
             out = decode_and_score(dm, flipped, method)
             assert out.loss == lp_cost(metric.reordered(flipped.labels), flipped, 2.0)
+
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_loss_bits_match_fitted_matrix(self, p):
+        # Scored on pair vectors, or through the reordered matrix when the
+        # labels differ, every loss equals that of the explicit fitted matrix
+        # bit for bit; n = 300 is above the size where NJ searches sorted rows.
+        for dm in scoring_inputs():
+            fitted = {"nj": leaf_distance_matrix(neighbor_joining(dm)[0])}
+            for method in LINKAGE_METHODS:
+                fitted[method] = dendrogram_to_ultrametric(linkage(dm, method))
+            for order in (dm.labels, dm.labels[::-1]):
+                ev = dm.reordered(order)
+                for method, metric in fitted.items():
+                    loss = decode_and_score(dm, ev, method, p).loss
+                    aligned = metric.reordered(ev.labels)
+                    want = triu_lp_cost(aligned, ev, p)
+                    assert loss == lp_cost(aligned, ev, p) == want, (dm.n, method)
+
+    def test_no_fitted_matrix_when_labels_align(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built or scored a fitted matrix")
+
+        for name in ("leaf_distance_matrix", "dendrogram_to_ultrametric", "lp_cost"):
+            monkeypatch.setattr(pipeline_mod, name, forbidden)
+        dm = noisy_input()
+        dm = dm.reordered(sorted(dm.labels))
+        for method in ALL_DECODERS:
+            assert decode_and_score(dm, dm, method).loss > 0.0
 
 
 class TestRunPipeline:
