@@ -25,11 +25,12 @@ dm = graph_leaf_shortest_paths(graph)
 print(f"input: n = {dm.n}, {len(graph.noise_edges)} shortcut edges, "
       f"delta = {delta_exact(dm).delta:.3f}")
 
-cfg = EncoderConfig(seed=0, total_epochs=800, burnin_epochs=80)
+cfg = EncoderConfig(seed=0, total_epochs=800)
 result = train_embedding(dm, cfg)
 den = denoised_metric(result)
 print(f"encoder: final l2 distortion = {result.final_loss:.2f} "
-      f"(started at {result.loss_trace[0]:.2f})")
+      f"(after the first iteration {result.loss_trace[0]:.2f}; "
+      f"{result.iterations} iterations, {result.stop_reason})")
 print(f"denoised delta = {delta_exact(den).delta:.3f}")
 
 report, artifacts = run_pipeline(

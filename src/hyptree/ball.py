@@ -2,14 +2,12 @@
 
 All routines act on ``(n, d)`` coordinate blocks of the open ball
 ``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0``, as the
-encoder needs, and validate nothing.  The encoder uses one shared distance
-kernel, :func:`pairwise_geometry`, for its training loss and gradient and,
-through :func:`pairwise_distance_matrix`, for the denoised matrix.  The kernel
-returns a :class:`PairGeometry` and can overwrite one from an earlier call, so
-a training run allocates its pairwise arrays once.  Its row quantities
-(``sqnorm``, ``conf``) can be handed to :func:`exp_map_points` and
-:func:`conformal_to_riemannian`, which then skip recomputing them; either way
-the results are the same bits.
+encoder needs, and validate nothing.  One distance kernel,
+:func:`pairwise_geometry`, gives the ball-side loss and gradient and, through
+:func:`pairwise_distance_matrix`, the denoised matrix.  It returns a
+:class:`PairGeometry` and can overwrite one from an earlier call.  Its
+explicit-difference product, :func:`squared_differences`, also serves the
+encoder's hyperboloid objective, which allocates its buffers once per run.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ DEFAULT_MARGIN = 1e-5
 _ZERO_NORM = 1e-15
 
 
-#: Entries of the coordinate-difference block in :func:`pairwise_geometry`.
+#: Entries of the coordinate-difference block in :func:`squared_differences`.
 #: Rows are processed in blocks of this many (row, coordinate, column)
 #: entries, so a d = 4 block up to n = 128 is formed in one product and the
 #: block stays at 512 KiB at larger n.
@@ -56,23 +54,14 @@ def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
     return pts, rescaled
 
 
-class PairGeometry:
-    """Per-point and pairwise quantities of an (n, d) point block.
+class DifferenceBuffers:
+    """Work buffers of :func:`squared_differences` for an (n, d) block.
 
-    ``sqnorm_i = ||x_i||^2``, ``conf_i = 1 - c||x_i||^2``,
-    ``cc_ij = conf_i conf_j``, ``q_ij = c||x_i - x_j||^2 / cc_ij`` and
-    ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
-    ``lhs``, ``rhs`` and ``block`` are the work buffers of
-    :func:`pairwise_geometry`.  A new instance holds uninitialised arrays.
+    A new instance holds uninitialised arrays.
     """
 
     def __init__(self, n: int, d: int):
         rows = max(1, min(n, _DIFF_BLOCK // max(d * n, 1)))
-        self.sqnorm = np.empty(n)
-        self.conf = np.empty(n)
-        self.cc = np.empty((n, n))
-        self.q = np.empty((n, n))
-        self.dist = np.empty((n, n))
         self.lhs = np.zeros((d, rows, d + 1))
         for k in range(d):
             self.lhs[k, :, k] = 1.0
@@ -81,46 +70,73 @@ class PairGeometry:
         self.block = np.empty((d, rows, n))
 
 
+def squared_differences(points: np.ndarray, work: DifferenceBuffers,
+                        out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = ||x_i - x_j||^2`` of an (n, d) block, exactly symmetric.
+
+    Differences are formed explicitly (no Gram-matrix shortcut).  A block of
+    rows gets all its differences from one matrix product,
+    ``[I | x_i] @ [-X^T ; 1]``: each entry is ``x_ik * 1 + 1 * (-x_jk)`` plus
+    exact zeros, which rounds exactly like ``x_ik - x_jk``.  The squared
+    differences are summed over coordinates in order.  ``work`` must have
+    been made for the block's shape.
+    """
+    n, d = points.shape
+    if work.rhs.shape != (d + 1, n):
+        raise ValueError(f"buffers for shape {work.rhs.shape[1], work.rhs.shape[0] - 1}, "
+                         f"points have shape {points.shape}")
+    rows = work.block.shape[1]
+    lhs = work.lhs.reshape(d * rows, d + 1)
+    diff = work.block.reshape(d * rows, n)
+    np.negative(points.T, out=work.rhs[:d])
+    for start in range(0, n, rows):
+        # Equal blocks: the last one overlaps its predecessor if rows does not divide n.
+        start = min(start, n - rows)
+        block = out[start:start + rows]
+        work.lhs[:, :, d] = points[start:start + rows].T
+        np.matmul(lhs, work.rhs, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.copyto(block, work.block[0])
+        for k in range(1, d):
+            block += work.block[k]
+    return out
+
+
+class PairGeometry(DifferenceBuffers):
+    """Per-point and pairwise quantities of an (n, d) point block.
+
+    ``sqnorm_i = ||x_i||^2``, ``conf_i = 1 - c||x_i||^2``,
+    ``cc_ij = conf_i conf_j``, ``q_ij = c||x_i - x_j||^2 / cc_ij`` and
+    ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
+    The inherited buffers serve :func:`squared_differences`.  A new instance
+    holds uninitialised arrays.
+    """
+
+    def __init__(self, n: int, d: int):
+        super().__init__(n, d)
+        self.sqnorm = np.empty(n)
+        self.conf = np.empty(n)
+        self.cc = np.empty((n, n))
+        self.q = np.empty((n, n))
+        self.dist = np.empty((n, n))
+
+
 def pairwise_geometry(points: np.ndarray, c: float,
                       out: PairGeometry | None = None) -> PairGeometry:
     """The :class:`PairGeometry` of an (n, d) point block, shared by distances and gradients.
 
     ``out``, a result of an earlier call on a block of the same shape, is
-    overwritten instead of allocating new arrays.  Differences are formed
-    explicitly (no Gram-matrix shortcut), and distances are
+    overwritten instead of allocating new arrays.  The squared differences
+    come from :func:`squared_differences`, and distances are
     ``(2/sqrt(c)) asinh(sqrt(q))``, the textbook ``acosh(1 + 2q)/sqrt(c)`` in
-    a form that stays accurate where ``1 + 2q`` rounds to 1.  A block of rows
-    gets all its differences from one matrix product, ``[I | x_i] @ [-X^T ; 1]``:
-    each entry is ``x_ik * 1 + 1 * (-x_jk)`` plus exact zeros, which rounds
-    exactly like ``x_ik - x_jk``.  The squared differences are summed over
-    coordinates in order.
+    a form that stays accurate where ``1 + 2q`` rounds to 1.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n, d = pts.shape
-    geo = PairGeometry(n, d) if out is None else out
-    if geo.rhs.shape != (d + 1, n):
-        raise ValueError(f"buffers for shape {geo.rhs.shape[1], geo.rhs.shape[0] - 1}, "
-                         f"points have shape {pts.shape}")
+    geo = PairGeometry(*pts.shape) if out is None else out
+    sq = squared_differences(pts, geo, geo.q)
     np.einsum("ij,ij->i", pts, pts, out=geo.sqnorm)
     conf = np.multiply(c, geo.sqnorm, out=geo.conf)
     np.subtract(1.0, conf, out=conf)
-
-    sq = geo.q
-    rows = geo.block.shape[1]
-    lhs = geo.lhs.reshape(d * rows, d + 1)
-    diff = geo.block.reshape(d * rows, n)
-    np.negative(pts.T, out=geo.rhs[:d])
-    for start in range(0, n, rows):
-        # Equal blocks: the last one overlaps its predecessor if rows does not divide n.
-        start = min(start, n - rows)
-        block = sq[start:start + rows]
-        geo.lhs[:, :, d] = pts[start:start + rows].T
-        np.matmul(lhs, geo.rhs, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.copyto(block, geo.block[0])
-        for k in range(1, d):
-            block += geo.block[k]
-
     np.multiply(conf[:, None], conf, out=geo.cc)
     q = np.divide(sq, geo.cc, out=sq)
     q *= c
@@ -135,43 +151,25 @@ def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
     return pairwise_geometry(points, c).dist
 
 
-def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float,
-                      x_sqnorm: np.ndarray | None = None,
-                      x_conf: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise Mobius sum of two (n, d) blocks.
-
-    ``x_sqnorm`` (``||x_i||^2``) and ``x_conf`` (``1 - c||x_i||^2``) may pass
-    row quantities of ``x`` the caller already has.
-    """
-    x2 = np.einsum("ij,ij->i", x, x) if x_sqnorm is None else x_sqnorm
-    x_conf = 1.0 - c * x2 if x_conf is None else x_conf
-    x2 = x2[:, None]
+def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Row-wise Mobius sum of two (n, d) blocks."""
+    x2 = np.einsum("ij,ij->i", x, x)[:, None]
     y2 = np.einsum("ij,ij->i", y, y)[:, None]
     xy = np.einsum("ij,ij->i", x, y)[:, None]
     lead = 1.0 + 2.0 * c * xy
-    num = (lead + c * y2) * x + x_conf[:, None] * y
+    num = (lead + c * y2) * x + (1.0 - c * x2) * y
     den = lead + c * c * x2 * y2
     return num / den
 
 
-def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float,
-                   sqnorm: np.ndarray | None = None,
-                   conf: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise exponential map of tangent steps at the given base points.
-
-    ``sqnorm`` and ``conf`` may pass the base rows' :class:`PairGeometry`
-    quantities, which are then not computed again.
-    """
-    if sqnorm is None:
-        sqnorm = np.einsum("ij,ij->i", base, base)
-    if conf is None:
-        conf = 1.0 - c * sqnorm
-    lam = 2.0 / conf[:, None]
+def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float) -> np.ndarray:
+    """Row-wise exponential map of tangent steps at the given base points."""
+    lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", base, base))[:, None]
     nrm = _row_norms(direction)[:, None]
     safe = np.maximum(nrm, _ZERO_NORM)
     sqrt_c = np.sqrt(c)
     step = np.tanh(sqrt_c * lam * nrm / 2.0) * direction / (sqrt_c * safe)
-    return mobius_add_points(base, step, c, sqnorm, conf)
+    return mobius_add_points(base, step, c)
 
 
 def conformal_to_riemannian(points: np.ndarray, c: float, ambient_grad: np.ndarray,

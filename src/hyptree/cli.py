@@ -110,11 +110,11 @@ def _add_encoder_args(sp) -> None:
             "--" + dest.replace("_", "-"),
             type=_exponent if f.name == "p" else kind,
             default=f.default,
-            help=(
-                "input rescale during optimization; "
-                f"default picks max * s = {TARGET_SPREAD:g}"
-                if f.name == "scaling_factor" else None
-            ),
+            help={
+                "scaling_factor": "input rescale during optimization; "
+                                  f"default picks max * s = {TARGET_SPREAD:g}",
+                "total_epochs": "cap on the encoder's L-BFGS iterations",
+            }.get(f.name),
         )
 
 
@@ -142,9 +142,11 @@ def _write_encoder_outputs(outdir: Path, result: EmbeddingResult,
     write_loss_trace(result, outdir / "loss_trace.txt")
 
 
-def _print_boundary(result: EmbeddingResult) -> None:
+def _print_encoder_outcome(result: EmbeddingResult) -> None:
     print(f"boundary: rescales = {result.boundary_rescales}, "
           f"points_at_limit = {result.points_at_limit}", file=sys.stderr)
+    print(f"solver: iterations = {result.iterations}, "
+          f"stop_reason = {result.stop_reason}", file=sys.stderr)
 
 
 def _cmd_synth(args) -> int:
@@ -168,7 +170,7 @@ def _cmd_denoise(args) -> int:
     t0 = time.perf_counter()
     result = train_embedding(dm, cfg)
     print(f"timing: encoder = {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    _print_boundary(result)
+    _print_encoder_outcome(result)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_encoder_outputs(outdir, result, denoised_metric(result))
@@ -226,7 +228,7 @@ def _cmd_pipeline(args) -> int:
     )
     for stage, secs in report.wall_times.items():
         print(f"timing: {stage} = {secs:.2f}s", file=sys.stderr)
-    _print_boundary(artifacts["embedding"])
+    _print_encoder_outcome(artifacts["embedding"])
     text = report.to_text()
     if args.output_dir:
         outdir = Path(args.output_dir)

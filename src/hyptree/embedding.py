@@ -1,10 +1,13 @@
 """Hyperbolic metric denoising: fit Poincare-ball points to a dissimilarity matrix.
 
-The encoder places one ball point per entity and minimizes the l_p distortion
-between pairwise hyperbolic distances and (rescaled) input dissimilarities
-with Riemannian Adam.  Because the ball's own four-point slack shrinks like
-1/sqrt(curvature), the optimized metric is closer to a tree-metric than the
-input, which is the denoising effect exploited by the downstream decoders.
+The encoder places one point per entity and minimizes the l_p distortion
+between pairwise hyperbolic distances and (rescaled) input dissimilarities.
+It optimizes free tangent vectors at the origin with L-BFGS, computing the
+loss and its gradient in hyperboloid (Lorentz) coordinates, and forms the
+ball points only at the end.  Because the ball's own four-point slack
+shrinks like 1/sqrt(curvature), the optimized metric is closer to a
+tree-metric than the input, which is the denoising effect exploited by the
+downstream decoders.
 """
 
 from __future__ import annotations
@@ -24,18 +27,19 @@ from .metrics import DistanceMatrix, check_exponent
 #: 2 * atanh(1 - margin) / sqrt(c)  (~2.44 for c = 100, margin = 1e-5).
 TARGET_SPREAD = 2.0
 
-#: Learning-rate multiplier once ``burnin_epochs`` have passed: the burn-in
-#: runs at a tenth of the main rate, the ratio Nickel & Kiela (2017) use.
-BURNIN_FACTOR = 10.0
+#: Correction pairs L-BFGS keeps.
+_LBFGS_MEMORY = 20
 
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-15
+#: The objective is +inf where a point's sqrt(c)-scaled hyperbolic radius
+#: exceeds this, so the line search backs off from points whose sinh and
+#: cosh would overflow.  The start lies within 2 atanh(1 - DEFAULT_MARGIN),
+#: about 12.2, and double precision holds a ball point strictly inside the
+#: boundary up to a radius of about 37.
+_MAX_RADIUS = 30.0
 
-#: Fraction of the run over which the learning rate decays linearly to zero.
-#: Adam steps have roughly constant hyperbolic length, so without a cooldown
-#: the loss keeps oscillating at the step-size floor instead of settling.
-_COOLDOWN_FRACTION = 0.2
+#: Below this radius the radial factors of :func:`_radial` come from their
+#: Taylor series, which also covers a point at the origin.
+_SERIES_RADIUS = 1e-2
 
 
 class EncodingError(RuntimeError):
@@ -44,38 +48,36 @@ class EncodingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Hyperparameters of one denoising run.
+    """Settings of one denoising run.
 
     ``scaling_factor=None`` rescales the input so its largest entry maps to
-    ``TARGET_SPREAD``.  Every step uses all pairs.  The learning rate is
-    multiplied by ``BURNIN_FACTOR`` once ``burnin_epochs`` have passed, and
-    points are kept ``ball.DEFAULT_MARGIN`` inside the boundary.
+    ``TARGET_SPREAD``.  ``total_epochs`` caps the L-BFGS iterations; a run
+    stops earlier when an iteration can no longer lower the loss.  Every
+    evaluation uses all pairs.
 
     Every run starts from one layout, ``init_scheme = "mds"``: a classical
     metric-MDS layout of the target lifted through the origin exponential
-    map, plus a seed-dependent jitter.  Being spread out, it avoids the
-    ring-shaped local minima a collapsed start falls into in two dimensions.
+    map, plus a seed-dependent jitter, pulled ``ball.DEFAULT_MARGIN`` inside
+    the boundary.  Being spread out, it avoids the ring-shaped local minima a
+    collapsed start falls into in two dimensions.  The seed moves only that
+    jitter; the optimizer itself is deterministic.
 
-    The defaults (four dimensions, curvature 100, one 4000-epoch run from the
-    mds start at learning rate 1e-2) were chosen on held-out synthetic
-    instances: on shortcut-noise ones (n = 64, 128, 256; noise rates 0.1,
-    0.3, 0.5) they let Neighbor Joining on the denoised matrix beat Neighbor
-    Joining on the input in 15 of 18 cases, and on exact tree metrics they
-    fit more closely than two dimensions at learning rate 1e-3 in 14 of 19
-    cases.  At learning rate 3e-3 four dimensions fit exact tree metrics
-    worse than two.  In all 29 measured runs the mds start also ended at a
-    smaller loss than an exact ball drawing of the target's Neighbor Joining
-    tree.  Two dimensions underfit noisy input, and a lower curvature fits
-    better but leaves the denoised metric far less tree-like (its delta rises
-    about threefold at c = 10).
+    The defaults (four dimensions, curvature 100, at most 2000 iterations)
+    were measured on 24 held-out shortcut-noise instances (n = 64 and 128;
+    noise rates 0.1, 0.3, 0.5) and 8 exact tree metrics.  With them Neighbor
+    Joining on the denoised matrix beats Neighbor Joining on the input in
+    all 24 (mean loss ratio 0.827), and 14 of the 24 runs stop before the
+    cap.  A cap of 1000 gives a ratio of 0.835 and 23 wins; 4000 gives 0.827
+    again, fits the exact metrics somewhat more closely and takes 30% more
+    time.  Two dimensions underfit (ratio 1.145, 6 wins), and curvature 10
+    fits worse (1.022, 11 wins) and leaves the denoised metric far less
+    tree-like (its delta about three times that at c = 100).
     """
 
     dimension: int = 4
     curvature: float = 100.0
     p: float = 2.0
-    learning_rate: float = 1e-2
-    burnin_epochs: int = 200
-    total_epochs: int = 4000
+    total_epochs: int = 2000
     scaling_factor: float | None = None
     seed: int = 0
     #: Names the one start for callers that report it; a constant, not a field.
@@ -84,15 +86,13 @@ class EncoderConfig:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("embedding dimension must be at least 2")
-        for name in ("curvature", "learning_rate", "scaling_factor"):
+        for name in ("curvature", "scaling_factor"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         check_exponent(self.p)
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be at least 1")
-        if not 0 <= self.burnin_epochs <= self.total_epochs:
-            raise ValueError("need total_epochs >= burnin_epochs >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,14 @@ class PoincareEmbedding:
 
 @dataclass
 class EmbeddingResult:
-    """A trained embedding with its loss trace and boundary counts.
+    """A trained embedding with its loss trace, solver outcome and boundary counts.
 
-    ``boundary_rescales`` counts the points pulled back onto the boundary
-    margin, at the start and after every epoch (a point pulled back in k
-    epochs counts k times); ``points_at_limit`` is the number of points the
-    final epoch pulled back.
+    ``loss_trace`` holds the loss after each iteration, in input units, and
+    at least one entry; its last entry is ``final_loss``, the loss of the
+    returned embedding.  ``iterations`` is the number of L-BFGS iterations
+    and ``stop_reason`` the solver's message.  ``boundary_rescales`` counts
+    the points pulled back onto the boundary margin, at the start and at the
+    end; ``points_at_limit`` is the number of points the end pulled back.
     """
 
     embedding: PoincareEmbedding
@@ -142,6 +144,8 @@ class EmbeddingResult:
     scaling_factor: float
     boundary_rescales: int = 0
     points_at_limit: int = 0
+    iterations: int = 0
+    stop_reason: str = ""
 
 
 def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> float:
@@ -167,31 +171,26 @@ def _power_sum(resid: np.ndarray, p: float, work: np.ndarray | None = None) -> f
 
 
 class _GradientWork:
-    """The n x n buffers of :func:`_power_gradient`, allocated once per run."""
+    """The n x n buffers of :func:`_pair_weights`, allocated once per run."""
 
     def __init__(self, n: int):
         self.root = np.empty((n, n))
         self.t = np.empty((n, n))
-        self.positive = np.empty((n, n), dtype=bool)
         # Views of the diagonals: self-pairs have q = 0 and T = 0.
         self.root_diag = self.root.reshape(-1)[::n + 1]
         self.t_diag = self.t.reshape(-1)[::n + 1]
 
 
-def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarray,
-                    c: float, p: float, work: _GradientWork | None = None) -> np.ndarray:
-    """Ambient gradient of sum_{i<j} |resid_ij|^p, resid = d(x_i, x_j) - t_ij.
+def _pair_weights(resid: np.ndarray, q: np.ndarray, p: float,
+                  work: _GradientWork) -> np.ndarray:
+    """``r'_ij / sqrt(q_ij (1 + q_ij))`` into ``work.t``, zero where q_ij = 0.
 
-    ``geo`` is :func:`ball.pairwise_geometry` of ``points``; the distance is
-    (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative in x_i is
-    T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
-    T_ij = 2 sqrt(c) r'_ij / (conf_i conf_j sqrt(q_ij (1 + q_ij))) and
-    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) (zero for coincident pairs),
-    which is exactly ``2 resid_ij`` for p = 2.  The sum over j of
-    T_ij (x_i - x_j) is taken as rowsum(T) x_i - (T @ X)_i.  ``resid`` is
-    overwritten with r'.
+    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) is the derivative of the pair
+    term, exactly ``2 resid_ij`` for p = 2; ``resid`` is overwritten with it.
+    With q = sinh^2(sqrt(c) d / 2), sqrt(q (1 + q)) is (sqrt(c)/2) times the
+    derivative of d in q, so the caller scales the result to a gradient.
+    Self-pairs and coincident points get exactly zero.
     """
-    work = _GradientWork(len(points)) if work is None else work
     coef = resid
     if p == 2.0:
         coef *= p
@@ -201,19 +200,34 @@ def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarra
         scale *= p
         np.sign(resid, out=coef)
         np.multiply(scale, coef, out=coef)
-    root = np.add(geo.q, 1.0, out=work.root)
-    root *= geo.q
+    root = np.add(q, 1.0, out=work.root)
+    root *= q
     np.sqrt(root, out=root)
     t = work.t
     # A unit root on the diagonal keeps the divide finite; T_ii is zeroed after.
     work.root_diag.fill(1.0)
-    positive = np.greater(root, 0.0, out=work.positive)
-    if positive.all():
+    if np.count_nonzero(root) == root.size:
         np.divide(coef, root, out=t)
     else:  # coincident points: T_ij = 0 where q_ij = 0
         t.fill(0.0)
-        np.divide(coef, root, out=t, where=positive)
+        np.divide(coef, root, out=t, where=root > 0.0)
     work.t_diag.fill(0.0)
+    return t
+
+
+def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarray,
+                    c: float, p: float, work: _GradientWork | None = None) -> np.ndarray:
+    """Ambient gradient of sum_{i<j} |resid_ij|^p, resid = d(x_i, x_j) - t_ij.
+
+    ``geo`` is :func:`ball.pairwise_geometry` of ``points``; the distance is
+    (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative in x_i is
+    T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
+    T_ij = 2 sqrt(c) r'_ij / (conf_i conf_j sqrt(q_ij (1 + q_ij))) and r'_ij
+    from :func:`_pair_weights`.  The sum over j of T_ij (x_i - x_j) is taken
+    as rowsum(T) x_i - (T @ X)_i.  ``resid`` is overwritten with r'.
+    """
+    work = _GradientWork(len(points)) if work is None else work
+    t = _pair_weights(resid, geo.q, p, work)
     t *= 2.0 * np.sqrt(c)
     t /= geo.cc
     tq = np.multiply(t, geo.q, out=work.root)
@@ -272,9 +286,9 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Starting configuration against the already-rescaled target matrix.
 
-    The mds layout is seed-independent; a small tangent jitter makes different
-    seeds explore genuinely different optimization paths.  Returns the points
-    and how many of them were clipped to the boundary margin.
+    The mds layout is seed-independent; a small tangent jitter is all the
+    seed changes.  Returns the points and how many of them were clipped to
+    the boundary margin.
     """
     pts = _mds_init(target, cfg.dimension, cfg.curvature)
     jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
@@ -282,23 +296,133 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
     return ball.clip_to_ball(pts, cfg.curvature)
 
 
+def _radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cosh rho, g, h)`` with g = sinh(rho)/rho and h = g'(rho)/rho.
+
+    h = (rho cosh rho - sinh rho)/rho^3.  Both come from their Taylor series
+    below ``_SERIES_RADIUS``, where the quotients lose digits or divide by 0.
+    """
+    sh, ch = np.sinh(rho), np.cosh(rho)
+    r2 = rho * rho
+    g = 1.0 + r2 / 6.0 * (1.0 + r2 / 20.0)
+    h = 1.0 / 3.0 + r2 / 30.0 * (1.0 + r2 / 28.0)
+    big = rho >= _SERIES_RADIUS
+    np.divide(sh, rho, out=g, where=big)
+    np.divide(rho * ch - sh, rho * r2, out=h, where=big)
+    return ch, g, h
+
+
+def _ball_to_tangent(points: np.ndarray, c: float) -> np.ndarray:
+    """Tangent vectors at the origin, times sqrt(c), whose length is each
+    point's sqrt(c)-scaled distance from the origin."""
+    radius = np.sqrt(c) * np.linalg.norm(points, axis=1)
+    scale = np.divide(2.0 * np.arctanh(radius), radius, out=np.full(len(points), 2.0),
+                      where=radius > 0.0)
+    return np.sqrt(c) * points * scale[:, None]
+
+
+def _tangent_to_ball(z: np.ndarray, c: float) -> np.ndarray:
+    """Ball points of :func:`_ball_to_tangent`'s vectors: u / (1 + sqrt(c) x0),
+    with the hyperboloid coordinates u and x0 of :class:`_HyperboloidObjective`."""
+    ch, g, _ = _radial(np.linalg.norm(z, axis=1))
+    return (g[:, None] * z) / (np.sqrt(c) * (1.0 + ch))[:, None]
+
+
+class _HyperboloidObjective:
+    """sum_{i<j} |delta_ij - tau_ij|^p and its gradient in free vectors z.
+
+    Row i of the (n, d) block z is sqrt(c) times a tangent vector at the
+    origin whose length is point i's distance from the origin, so
+    rho_i = ||z_i|| is that distance times sqrt(c).  The point's hyperboloid
+    coordinates are u_i = sinh(rho_i)/(sqrt(c) rho_i) z_i and
+    x0_i = cosh(rho_i)/sqrt(c).  A pair's distance is d = (2/sqrt(c)) delta
+    with delta = asinh(sqrt(w)) and
+    w = (c/4) (||u_i - u_j||^2 - (x0_i - x0_j)^2), clamped at 0 against
+    rounding.  The objective is in these units of 2/sqrt(c), so it does not
+    depend on c: ``half_target`` is tau = (sqrt(c)/2) t, and the l_p loss is
+    (2/sqrt(c)) times its p-th root.
+
+    The kernel holds a_i = (sqrt(c)/2) u_i = (g(rho_i)/2) z_i, whose
+    differences are formed explicitly (:func:`ball.squared_differences`),
+    and b_i = cosh(rho_i)/2, so that w = ||a_i - a_j||^2 - (b_i - b_j)^2.
+    As b_i^2 = 1/4 + ||a_i||^2, dw/da_i = 2 (b_j/b_i a_i - a_j), and the
+    gradient in a_i is G_i = (a_i/b_i)(T b)_i - (T A)_i with T from
+    :func:`_pair_weights`.  The chain rule through a(z) maps it to
+    (g(rho_i) G_i + h(rho_i) (z_i.G_i) z_i)/2 (:func:`_radial`).
+
+    A point with rho_i past ``_MAX_RADIUS`` makes the value +inf with a zero
+    gradient, which the line search treats as a failed trial.  Any other
+    non-finite value raises :class:`EncodingError` naming a pair.  The
+    pairwise buffers are allocated once.
+    """
+
+    def __init__(self, half_target: np.ndarray, labels: list[str], p: float, d: int):
+        n = half_target.shape[0]
+        self.half_target, self.labels, self.p, self.d = half_target, labels, p, d
+        self.diff = ball.DifferenceBuffers(n, d)
+        self.ab = np.empty((n, d + 1))  # [A | b]: one product gives T @ A and T @ b
+        self.w = np.empty((n, n))
+        self.resid = np.empty((n, n))
+        # Its two buffers also hold the radial term and the loss terms,
+        # which are dead before _pair_weights writes them.
+        self.work = _GradientWork(n)
+
+    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
+        p, d = self.p, self.d
+        z = flat.reshape(-1, d)
+        rho = np.sqrt(np.einsum("ij,ij->i", z, z))
+        if not rho.max() <= _MAX_RADIUS:
+            return np.inf, np.zeros_like(flat)
+        ch, g, h = _radial(rho)
+        a = np.multiply(0.5 * g[:, None], z, out=self.ab[:, :d])
+        b = np.multiply(0.5, ch, out=self.ab[:, d])
+
+        w = ball.squared_differences(a, self.diff, self.w)
+        radial = np.subtract.outer(b, b, out=self.work.root)
+        radial *= radial
+        w -= radial
+        np.maximum(w, 0.0, out=w)
+        resid = np.sqrt(w, out=self.resid)
+        np.arcsinh(resid, out=resid)
+        resid -= self.half_target
+        with np.errstate(over="ignore"):
+            value = _power_sum(resid, p, self.work.t)
+        if not np.isfinite(value):
+            # The first non-finite term, or the largest if only the sum overflowed.
+            terms = np.where(np.isfinite(self.work.t), self.work.t, np.inf)
+            i, j = divmod(int(np.argmax(terms)), len(terms))
+            raise EncodingError(
+                f"non-finite loss at pair ({self.labels[i]!r}, {self.labels[j]!r}); "
+                "reduce the scaling factor")
+
+        t = _pair_weights(resid, w, p, self.work)
+        prod = t @ self.ab
+        grad = (a / b[:, None]) * prod[:, d:] - prod[:, :d]
+        radial_part = h * np.einsum("ij,ij->i", z, grad)
+        grad *= g[:, None]
+        grad += radial_part[:, None] * z
+        grad *= 0.5
+        return value, grad.reshape(-1)
+
+
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     """Optimize ball points against a dissimilarity matrix from the mds start.
 
     The input is rescaled by the (possibly automatic) scaling factor for
     optimization; reported losses are always in original units, i.e. embedded
-    distances divided by the scaling factor versus the raw input.  Each epoch
-    performs one Riemannian Adam step (moments kept in ambient tangent
-    coordinates, no transport) followed by a projection step that keeps every
-    point ``ball.DEFAULT_MARGIN`` inside the boundary; the result counts the
-    points that projection moved.  The pairwise geometry (:func:`ball.pairwise_geometry`)
-    is computed once per epoch, after the step, into buffers allocated once
-    per run: it gives that epoch's loss and the next epoch's gradient, and
-    its row quantities also serve the Riemannian rescale and the exponential
-    map.  Fully deterministic for a given seed.
+    distances divided by the scaling factor versus the raw input.  The start
+    is mapped to tangent vectors at the origin, and one
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` call minimizes the l_p
+    loss over them (:class:`_HyperboloidObjective`), for at most
+    ``cfg.total_epochs`` iterations and with both tolerances at zero, so it
+    stops early only when an iteration cannot lower the loss.  The result's
+    ball points are then pulled ``ball.DEFAULT_MARGIN`` inside the boundary,
+    and the points moved are counted; the final loss is measured on those
+    points with :func:`ball.pairwise_geometry`.  Fully deterministic for a
+    given seed.
     """
-    n = dm.n
-    c = cfg.curvature
+    import scipy.optimize
+    n, c, p = dm.n, cfg.curvature, cfg.p
     rng = np.random.default_rng(cfg.seed)
 
     max_d = float(dm.values.max()) if n > 1 else 0.0
@@ -309,60 +433,33 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     else:
         s = 1.0
     target = dm.values * s
-    points, rescales = _init_points(cfg, target, rng)
+    start, rescales = _init_points(cfg, target, rng)
 
-    m = np.zeros_like(points)
-    v = np.zeros(n)
-    trace = np.empty(cfg.total_epochs)
-    # The residual overwrites the kernel's distances, which only feed it.
-    geo = ball.pairwise_geometry(points, c)
-    resid = np.subtract(geo.dist, target, out=geo.dist)
-    work = _GradientWork(n)
-    cooldown_start = cfg.total_epochs - max(int(_COOLDOWN_FRACTION * cfg.total_epochs), 1)
-    precond = None
+    accepted: list[float] = []
 
-    for epoch in range(cfg.total_epochs):
-        lr = cfg.learning_rate * (BURNIN_FACTOR if epoch >= cfg.burnin_epochs else 1.0)
-        if epoch >= cooldown_start:
-            lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
-        grad = _power_gradient(points, geo, resid, c, cfg.p, work)
-        grad = ball.conformal_to_riemannian(points, c, grad, geo.conf)
+    def record(intermediate_result):
+        accepted.append(intermediate_result.fun)
 
-        # Second moment tracks the squared Riemannian norm per point, so the
-        # normalized step has roughly unit hyperbolic speed everywhere and
-        # boundary-hugging points are not over-driven.
-        lam = 2.0 / geo.conf
-        gnorm_sq = lam**2 * np.einsum("ij,ij->i", grad, grad)
+    unit = 2.0 / np.sqrt(c)
+    opt = scipy.optimize.minimize(
+        _HyperboloidObjective(target / unit, dm.labels, p, cfg.dimension),
+        _ball_to_tangent(start, c).reshape(-1), jac=True, method="L-BFGS-B",
+        callback=record,
+        options={"maxcor": _LBFGS_MEMORY, "gtol": 0.0, "ftol": 0.0,
+                 "maxiter": cfg.total_epochs},
+    )
+    points, clipped = ball.clip_to_ball(_tangent_to_ball(opt.x.reshape(n, -1), c), c)
 
-        t = epoch + 1
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * gnorm_sq
-        m_hat = m / (1.0 - _ADAM_BETA1**t)
-        if epoch < cooldown_start or precond is None:
-            precond = np.sqrt(v / (1.0 - _ADAM_BETA2**t)) + _ADAM_EPS
-        # During the cooldown the preconditioner is frozen, so steps shrink
-        # in proportion to the gradient and the iterate can settle instead of
-        # hovering at a constant-step floor.
-        step = -lr * m_hat / precond[:, None]
-        points = ball.exp_map_points(points, step, c, geo.sqnorm, geo.conf)
-        points, clipped = ball.clip_to_ball(points, c)
-        rescales += clipped
-
-        ball.pairwise_geometry(points, c, out=geo)
-        np.subtract(geo.dist, target, out=resid)
-        loss = _power_sum(resid, cfg.p, work.t) ** (1.0 / cfg.p) / s
-        if not np.isfinite(loss):
-            bad = np.argwhere(~np.isfinite(resid))
-            i, j = (int(bad[0][0]), int(bad[0][1])) if bad.size else (0, 0)
-            raise EncodingError(
-                f"non-finite loss at epoch {epoch} "
-                f"(pair {dm.labels[i]!r}, {dm.labels[j]!r}); "
-                "reduce the learning rate or the scaling factor"
-            )
-        trace[epoch] = loss
-
+    # Every accepted value was finite, and the clip only shortens distances.
+    resid = ball.pairwise_geometry(points, c).dist
+    resid -= target
+    final = _power_sum(resid, p) ** (1.0 / p) / s
+    trace = np.empty(max(len(accepted), 1))
+    trace[:-1] = unit * np.array(accepted[:-1]) ** (1.0 / p) / s
+    trace[-1] = final
     emb = PoincareEmbedding(list(dm.labels), points, c)
-    return EmbeddingResult(emb, float(trace[-1]), trace, cfg, s, rescales, clipped)
+    return EmbeddingResult(emb, final, trace, cfg, s, rescales + clipped, clipped,
+                           opt.nit, opt.message.rstrip(": "))
 
 
 def denoised_metric(result: EmbeddingResult) -> DistanceMatrix:

@@ -441,7 +441,7 @@ def test_criterion_10_determinism(tmp_path):
         rc = main([
             "pipeline", "--input", str(src / "matrix.txt"), "--seed", "9",
             "--decoders", "nj,average", "--output-dir", str(out),
-            "--epochs", "150", "--burnin-epochs", "15",
+            "--epochs", "150",
         ])
         assert rc == 0
         runs.append(out)

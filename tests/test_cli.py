@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hyptree import cli
 from hyptree.cli import main
@@ -16,9 +17,7 @@ from hyptree.newick import parse_newick
 from hyptree.report import parse_report
 from hyptree.trees import leaf_distance_matrix
 
-FAST = [
-    "--epochs", "120", "--burnin-epochs", "12",
-]
+FAST = ["--epochs", "120"]
 
 
 def synth(tmp_path, n=12, rate="0.3", seed="0"):
@@ -245,14 +244,16 @@ class TestPipelineCommand:
             pipe_out / "nj_denoised.nwk"
         ).read_bytes()
         # eval of the denoised tree against the original matrix agrees with
-        # the pipeline's reported loss
+        # the pipeline's reported loss.  The pipeline scores the unrooted NJ
+        # tree and eval the midpoint-rooted one it wrote; splitting the root
+        # edge can move a path sum by an ulp (see midpoint_root_and_metric).
         main([
             "eval", "--tree", str(dec_out / "nj.nwk"),
             "--input", str(src / "matrix.txt"),
         ])
         loss = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         report = parse_report((pipe_out / "report.txt").read_text())
-        assert loss == float(report["nj.loss_denoised"])
+        assert loss == pytest.approx(float(report["nj.loss_denoised"]), rel=1e-12, abs=0.0)
 
     def test_feature_input(self, tmp_path, capsys):
         feats = tmp_path / "feats.txt"
@@ -286,18 +287,18 @@ class TestEncoderOptions:
 
         parser = _build_parser({"curvature": "10"})
         args = parser.parse_args([
-            "pipeline", "--input", "m.txt", "--dim", "3", "--epochs", "50",
-            "--burnin-epochs", "5", "--seed", "4",
+            "pipeline", "--input", "m.txt", "--dim", "3", "--epochs", "50", "--seed", "4",
         ])
         cfg = _encoder_config(args)
-        assert (cfg.dimension, cfg.total_epochs, cfg.burnin_epochs) == (3, 50, 5)
+        assert (cfg.dimension, cfg.total_epochs) == (3, 50)
         assert (cfg.seed, cfg.curvature) == (4, 10.0)
 
 
     def test_fixed_settings_have_no_flag(self, tmp_path, capsys):
         src = synth(tmp_path)
         for command in ("denoise", "pipeline"):
-            for flag in ("--boundary-margin", "--burnin-factor"):
+            for flag in ("--boundary-margin", "--burnin-factor", "--learning-rate",
+                         "--burnin-epochs"):
                 rc = main([
                     command, "--input", str(src / "matrix.txt"), "--output-dir",
                     str(tmp_path / command), flag, "1e-4", *FAST,
@@ -324,13 +325,34 @@ class TestEncoderOptions:
         report = (tmp_path / "pipeline" / "report.txt").read_text()
         assert "boundary" not in report and "rescales" not in report
 
+    def test_solver_outcome_on_stderr(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        for command, epochs, reason in (("denoise", "7", "ITERATIONS REACHED LIMIT"),
+                                        ("pipeline", "2000", None)):
+            rc = main([command, "--input", str(src / "matrix.txt"), "--output-dir",
+                       str(tmp_path / command), "--epochs", epochs])
+            assert rc == 0
+            err = capsys.readouterr().err.splitlines()
+            line = [ln for ln in err if ln.startswith("solver:")]
+            assert len(line) == 1
+            assert err.index(line[0]) == err.index(next(
+                ln for ln in err if ln.startswith("boundary:"))) + 1
+            iterations, reason_text = line[0][len("solver: "):].split(", ", 1)
+            count = int(iterations.removeprefix("iterations = "))
+            assert reason_text.startswith("stop_reason = ")
+            if reason:
+                assert count == int(epochs) and reason in reason_text
+            else:  # this 12-leaf fit stops before the cap
+                assert 0 < count < int(epochs) and "LIMIT" not in reason_text
+
 
 class TestConfigFile:
     def test_defaults_from_config(self, tmp_path, capsys):
         src = synth(tmp_path)
         capsys.readouterr()
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 60\nburnin-epochs = 6\ndataset-name = fromcfg\n")
+        cfg.write_text("epochs = 60\ndataset-name = fromcfg\n")
         rc = main([
             "--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt"),
             "--decoders", "nj",
@@ -343,7 +365,7 @@ class TestConfigFile:
         src = synth(tmp_path)
         capsys.readouterr()
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dataset-name = fromcfg\nepochs = 60\nburnin-epochs = 6\n")
+        cfg.write_text("dataset-name = fromcfg\nepochs = 60\n")
         main([
             "--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt"),
             "--decoders", "nj", "--dataset-name", "flagged",
@@ -368,6 +390,18 @@ class TestConfigFile:
         assert "pairs_per_step" in err and "lerning_rate" in err and "init_radius" in err
         assert "boundary_margin" in err and "burnin_factor" in err
         assert "epochs" not in err
+
+    def test_removed_encoder_keys_rejected(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        for text in ("burnin-epochs = 5\n", "learning_rate = 0.01\n"):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text("epochs = 60\n" + text)
+            assert main(["--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt"),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "unknown config key" in err and text.split(" =")[0].replace("-", "_") in err
+            assert not (tmp_path / "out").exists()
 
     def test_malformed_value_is_usage_error(self, tmp_path, capsys):
         src = synth(tmp_path)
@@ -472,6 +506,12 @@ class TestStartUp:
             ["decode", "--input", path, "--method", "nj", "--output-dir", str(out)],
             ["eval", "--tree", str(out / "nj.nwk"), "--input", path],
         ) == []
+
+    def test_denoise_loads_scipy_optimize(self, tmp_path):
+        path = str(tree_metric_file(tmp_path))
+        loaded = scipy_modules_loaded(
+            ["denoise", "--input", path, "--epochs", "5", "--output-dir", str(tmp_path)])
+        assert "scipy.optimize" in loaded and "scipy.cluster" not in loaded
 
     def test_linkage_decode_loads_scipy_cluster(self, tmp_path):
         path = str(tree_metric_file(tmp_path))

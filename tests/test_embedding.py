@@ -12,6 +12,7 @@ from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_bina
 from hyptree.embedding import (
     EmbeddingResult,
     EncoderConfig,
+    EncodingError,
     PoincareEmbedding,
     denoised_metric,
     embedding_loss,
@@ -47,9 +48,10 @@ def random_embedding(rng, n, d, c, rmax=0.6):
 
 
 # ---------------------------------------------------------------------------
-# Reference encoder: the training loop as it was before it reused the
-# kernel's row quantities and buffers, one fresh array per operation.  The
-# encoder must reproduce its points and loss trace bit for bit.
+# Reference encoder: the hyperboloid objective as a plain function, one fresh
+# array per operation, driven by the same L-BFGS call from the encoder's own
+# start.  The encoder, which reuses its buffers, must reproduce its points,
+# loss trace and iteration count bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -79,30 +81,98 @@ def reference_power_gradient(points, conf, q, resid, c, p):
     return row[:, None] * points - t @ points
 
 
-def reference_exp_map(base, direction, c):
-    lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", base, base))[:, None]
-    nrm = np.linalg.norm(direction, axis=-1, keepdims=True)
-    safe = np.maximum(nrm, 1e-15)
-    sqrt_c = np.sqrt(c)
-    y = np.tanh(sqrt_c * lam * nrm / 2.0) * direction / (sqrt_c * safe)
-    x2 = np.einsum("ij,ij->i", base, base)[:, None]
-    y2 = np.einsum("ij,ij->i", y, y)[:, None]
-    xy = np.einsum("ij,ij->i", base, y)[:, None]
-    num = (1.0 + 2.0 * c * xy + c * y2) * base + (1.0 - c * x2) * y
-    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return num / den
-
-
 def reference_clip(points, c, margin):
+    """The clipped points and how many rows were over the limit."""
     pts = np.array(points, dtype=np.float64)
     limit = (1.0 - margin) / np.sqrt(c)
+    moved = int(np.count_nonzero(np.linalg.norm(pts, axis=-1) > limit))
     for _ in range(4):
         norms = np.linalg.norm(pts, axis=-1)
         mask = norms > limit
         if not mask.any():
             break
         pts[mask] *= (limit / norms[mask])[:, None]
-    return pts
+    return pts, moved
+
+
+def reference_radial(rho):
+    """cosh(rho), g = sinh(rho)/rho and h = g'(rho)/rho, with the encoder's
+    Taylor series below 1e-2."""
+    sh, ch = np.sinh(rho), np.cosh(rho)
+    r2 = rho * rho
+    big = rho >= 1e-2
+    safe = np.where(big, rho, 1.0)
+    g = np.where(big, sh / safe, 1.0 + r2 / 6.0 * (1.0 + r2 / 20.0))
+    h = np.where(big, (safe * ch - sh) / (safe * (safe * safe)),
+                 1.0 / 3.0 + r2 / 30.0 * (1.0 + r2 / 28.0))
+    return ch, g, h
+
+
+def reference_objective(z, tau, p):
+    """(sum_{i<j} |asinh(sqrt(w_ij)) - tau_ij|^p, gradient) at the scaled
+    tangent vectors z; +inf past a sqrt(c)-radius of 30."""
+    n, d = z.shape
+    rho = np.sqrt(np.einsum("ij,ij->i", z, z))
+    if not rho.max() <= 30.0:
+        return np.inf, np.zeros(z.size)
+    ch, g, h = reference_radial(rho)
+    a = 0.5 * g[:, None] * z
+    b = 0.5 * ch
+    sq = np.zeros((n, n))
+    for col in a.T:
+        diff = np.subtract.outer(col, col)
+        sq += diff * diff
+    w = np.maximum(sq - np.subtract.outer(b, b) ** 2, 0.0)
+    resid = np.arcsinh(np.sqrt(w)) - tau
+    value = 0.5 * float(np.sum(np.abs(resid) ** p))
+    coef = p * np.abs(resid) ** (p - 1.0) * np.sign(resid)
+    root = np.sqrt(w * (1.0 + w))
+    t = np.divide(coef, root, out=np.zeros_like(coef), where=root > 0.0)
+    np.fill_diagonal(t, 0.0)
+    prod = t @ np.column_stack([a, b])
+    grad = (a / b[:, None]) * prod[:, d:] - prod[:, :d]
+    radial = h * np.einsum("ij,ij->i", z, grad)
+    grad = 0.5 * (g[:, None] * grad + radial[:, None] * z)
+    return value, grad.reshape(-1)
+
+
+def reference_train(dm, cfg):
+    """``(points, loss_trace, iterations, boundary_rescales, points_at_limit)``
+    of the reference encoder."""
+    import scipy.optimize
+
+    c, p, n, d = cfg.curvature, cfg.p, dm.n, cfg.dimension
+    max_d = float(dm.values.max()) if dm.n > 1 else 0.0
+    if cfg.scaling_factor is not None:
+        s = cfg.scaling_factor
+    else:
+        s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
+    target = dm.values * s
+    start, start_moved = embedding_module._init_points(
+        cfg, target, np.random.default_rng(cfg.seed))
+    radius = np.sqrt(c) * np.linalg.norm(start, axis=1)
+    scale = np.where(radius > 0.0, 2.0 * np.arctanh(radius) / np.where(radius > 0.0, radius, 1.0),
+                     2.0)
+    unit = 2.0 / np.sqrt(c)
+    tau = target / unit
+    accepted = []
+
+    def record(intermediate_result):
+        accepted.append(intermediate_result.fun)
+
+    opt = scipy.optimize.minimize(
+        lambda x: reference_objective(x.reshape(n, d), tau, p),
+        (np.sqrt(c) * start * scale[:, None]).reshape(-1), jac=True, method="L-BFGS-B",
+        callback=record,
+        options={"maxcor": 20, "gtol": 0.0, "ftol": 0.0, "maxiter": cfg.total_epochs})
+    z = opt.x.reshape(n, d)
+    ch, g, _ = reference_radial(np.linalg.norm(z, axis=1))
+    points, moved = reference_clip(
+        (g[:, None] * z) / (np.sqrt(c) * (1.0 + ch))[:, None], c, ball.DEFAULT_MARGIN)
+    resid = reference_geometry(points, c)[2] - target
+    final = (0.5 * float(np.sum(np.abs(resid) ** p))) ** (1.0 / p) / s
+    trace = np.append(unit * np.array(accepted[:-1]) ** (1.0 / p) / s, final)
+    return points, trace, opt.nit, start_moved + moved, moved
 
 
 def reference_mds_init(values, d, c):
@@ -120,51 +190,12 @@ def reference_mds_init(values, d, c):
     return unit * np.tanh(np.sqrt(c) * radii / 2.0) / np.sqrt(c)
 
 
-def reference_train(dm, cfg):
-    """``(points, loss_trace)`` of the reference loop from the encoder's own start."""
-    c, p = cfg.curvature, cfg.p
-    max_d = float(dm.values.max()) if dm.n > 1 else 0.0
-    if cfg.scaling_factor is not None:
-        s = cfg.scaling_factor
-    else:
-        s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
-    target = dm.values * s
-    points, _ = embedding_module._init_points(cfg, target, np.random.default_rng(cfg.seed))
-    m = np.zeros_like(points)
-    v = np.zeros(dm.n)
-    trace = np.empty(cfg.total_epochs)
-    conf, q, dist = reference_geometry(points, c)
-    resid = dist - target
-    cooldown_start = cfg.total_epochs - max(int(0.2 * cfg.total_epochs), 1)
-    precond = None
-    burnin, margin = embedding_module.BURNIN_FACTOR, ball.DEFAULT_MARGIN
-    for epoch in range(cfg.total_epochs):
-        lr = cfg.learning_rate * (burnin if epoch >= cfg.burnin_epochs else 1.0)
-        if epoch >= cooldown_start:
-            lr *= (cfg.total_epochs - epoch) / (cfg.total_epochs - cooldown_start)
-        grad = reference_power_gradient(points, conf, q, resid, c, p)
-        rconf = 1.0 - c * np.einsum("ij,ij->i", points, points)
-        grad = grad * (rconf**2 / 4.0)[:, None]
-        lam = 2.0 / conf
-        gnorm_sq = lam**2 * np.einsum("ij,ij->i", grad, grad)
-        t = epoch + 1
-        m = 0.9 * m + (1.0 - 0.9) * grad
-        v = 0.999 * v + (1.0 - 0.999) * gnorm_sq
-        m_hat = m / (1.0 - 0.9**t)
-        if epoch < cooldown_start or precond is None:
-            precond = np.sqrt(v / (1.0 - 0.999**t)) + 1e-15
-        step = -lr * m_hat / precond[:, None]
-        points = reference_clip(reference_exp_map(points, step, c), c, margin)
-        conf, q, dist = reference_geometry(points, c)
-        resid = dist - target
-        trace[epoch] = (0.5 * float(np.sum(np.abs(resid) ** p))) ** (1.0 / p) / s
-    return points, trace
-
-
 def assert_bitwise(res, ref):
-    points, trace = ref
+    points, trace, iterations, rescales, at_limit = ref
     assert res.embedding.points.tobytes() == points.tobytes()
     assert res.loss_trace.tobytes() == trace.tobytes()
+    assert (res.iterations, res.boundary_rescales, res.points_at_limit) == (
+        iterations, rescales, at_limit)
 
 
 class TestEncoderConfig:
@@ -177,16 +208,16 @@ class TestEncoderConfig:
             {"dimension": 1},
             {"curvature": 0.0},
             {"p": 0.5},
-            {"burnin_epochs": 10, "total_epochs": 5},
-            {"learning_rate": 0.0},
+            {"total_epochs": -5},
+            {"scaling_factor": 0.0},
             {"scaling_factor": -1.0},
             {"total_epochs": 0},
             {"p": float("inf")},
             {"p": float("nan")},
             {"curvature": float("inf")},
             {"curvature": float("nan")},
-            {"learning_rate": float("nan")},
-            {"learning_rate": float("inf")},
+            {"curvature": -1.0},
+            {"dimension": 0},
             {"scaling_factor": float("inf")},
             {"scaling_factor": float("nan")},
         ],
@@ -199,11 +230,12 @@ class TestEncoderConfig:
         assert EncoderConfig().init_scheme == "mds"
         assert "init_scheme" not in [f.name for f in dataclasses.fields(EncoderConfig)]
 
-    def test_burnin_factor_and_margin_are_constants(self):
+    def test_margin_and_solver_settings_are_constants(self):
         assert [f.name for f in dataclasses.fields(EncoderConfig)] == [
-            "dimension", "curvature", "p", "learning_rate", "burnin_epochs",
-            "total_epochs", "scaling_factor", "seed"]
-        assert (embedding_module.BURNIN_FACTOR, ball.DEFAULT_MARGIN) == (10.0, 1e-5)
+            "dimension", "curvature", "p", "total_epochs", "scaling_factor", "seed"]
+        assert EncoderConfig().total_epochs == 2000
+        assert (ball.DEFAULT_MARGIN, embedding_module._LBFGS_MEMORY,
+                embedding_module._MAX_RADIUS) == (1e-5, 20, 30.0)
 
 
 class TestPoincareEmbedding:
@@ -385,7 +417,7 @@ class TestTraining:
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         dm = random_dm(rng, 8)
-        cfg = EncoderConfig(seed=7, total_epochs=60, burnin_epochs=6)
+        cfg = EncoderConfig(seed=7, total_epochs=60)
         a = train_embedding(dm, cfg)
         b = train_embedding(dm, cfg)
         assert np.array_equal(a.loss_trace, b.loss_trace)
@@ -394,7 +426,7 @@ class TestTraining:
     def test_final_loss_is_last_trace_entry(self):
         rng = np.random.default_rng(56)
         dm = random_dm(rng, 6)
-        res = train_embedding(dm, EncoderConfig(seed=1, total_epochs=50, burnin_epochs=5))
+        res = train_embedding(dm, EncoderConfig(seed=1, total_epochs=50))
         assert res.final_loss == res.loss_trace[-1]
         # and it matches an independent evaluation of the final embedding
         assert res.final_loss == pytest.approx(
@@ -409,7 +441,7 @@ class TestTraining:
         for seed in range(10):
             dm = random_dm(rng, 10)
             res = train_embedding(
-                dm, EncoderConfig(seed=seed, total_epochs=300, burnin_epochs=30)
+                dm, EncoderConfig(seed=seed, total_epochs=300)
             )
             tail = res.loss_trace[-30:]
             if np.all(np.diff(tail) <= 1e-9):
@@ -417,66 +449,203 @@ class TestTraining:
         assert good >= 9
 
     def test_curvature_consistency(self):
-        # training at curvature c on D matches curvature 1 on sqrt(c) * D
-        # under the x -> sqrt(c) x map, matched seeds and mapped settings
+        # Training at curvature c on D matches curvature 1 on sqrt(c) * D
+        # under the x -> sqrt(c) x map, with matched seeds and scaling: both
+        # runs optimize the same sqrt(c)-scaled tangent vectors against the
+        # same objective, up to the rounding of the two targets and starts
+        # (1e-13 in the first loss).  L-BFGS amplifies that rounding once its
+        # curvature pairs fill, past 1e-6 after about 30 iterations here, so
+        # the first 10 iterations are held to 1e-9 and the whole run's final
+        # loss to 1e-3 relative.
         rng = np.random.default_rng(59)
         dm = random_dm(rng, 8)
         c = 100.0
         rt = np.sqrt(c)
         span = float(dm.values.max())
-        cfg_c = EncoderConfig(
-            seed=11, curvature=c, total_epochs=150, burnin_epochs=15,
-            scaling_factor=2.0 / span, learning_rate=1e-3,
-        )
-        cfg_1 = EncoderConfig(
-            seed=11, curvature=1.0, total_epochs=150, burnin_epochs=15,
-            scaling_factor=rt * 2.0 / span, learning_rate=rt * 1e-3,
-        )
-        res_c = train_embedding(dm, cfg_c)
-        res_1 = train_embedding(dm, cfg_1)
-        assert np.abs(res_c.loss_trace - res_1.loss_trace).max() < 1e-6
-        assert np.abs(rt * res_c.embedding.points - res_1.embedding.points).max() < 1e-7
+        for epochs in (10, 150):
+            res_c = train_embedding(dm, EncoderConfig(
+                seed=11, curvature=c, total_epochs=epochs, scaling_factor=2.0 / span))
+            res_1 = train_embedding(dm, EncoderConfig(
+                seed=11, curvature=1.0, total_epochs=epochs, scaling_factor=rt * 2.0 / span))
+            assert np.abs(res_c.loss_trace[:10] - res_1.loss_trace[:10]).max() < 1e-9
+            assert res_c.final_loss == pytest.approx(res_1.final_loss, rel=1e-3)
+        assert (res_c.iterations, res_1.iterations) == (150, 150)
+        short = [train_embedding(dm, EncoderConfig(
+            seed=11, curvature=cv, total_epochs=10, scaling_factor=sf / span))
+            for cv, sf in ((c, 2.0), (1.0, rt * 2.0))]
+        assert np.abs(rt * short[0].embedding.points - short[1].embedding.points).max() < 1e-9
 
     def test_all_points_inside_ball(self):
         rng = np.random.default_rng(60)
         dm = random_dm(rng, 12)
-        res = train_embedding(dm, EncoderConfig(seed=2, total_epochs=100, burnin_epochs=10))
+        res = train_embedding(dm, EncoderConfig(seed=2, total_epochs=100))
         norms = np.sqrt(100.0) * np.linalg.norm(res.embedding.points, axis=1)
         assert np.all(norms < 1.0)
 
     @pytest.mark.parametrize("n, d", [(1, 4), (2, 4), (3, 4), (4, 8)])
     def test_mds_start_fills_every_dimension(self, n, d, tmp_path):
         dm = random_dm(np.random.default_rng(65), n)
-        res = train_embedding(dm, EncoderConfig(dimension=d, total_epochs=20, burnin_epochs=2))
+        res = train_embedding(dm, EncoderConfig(dimension=d, total_epochs=20))
         assert res.embedding.points.shape == (n, d)
         assert np.all(res.embedding.points[:, n:] != 0.0)
         write_embedding(res, tmp_path / "emb.txt")
         assert f"dim={d}" in (tmp_path / "emb.txt").read_text().splitlines()[0]
 
 
+    def test_solver_outcome_recorded(self):
+        rng = np.random.default_rng(66)
+        dm = random_dm(rng, 12)
+        capped = train_embedding(dm, EncoderConfig(total_epochs=5))
+        assert (capped.iterations, len(capped.loss_trace)) == (5, 5)
+        assert capped.stop_reason == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        # A tree metric on four leaves is fitted long before the cap.
+        early = train_embedding(leaf_distance_matrix(random_binary_tree(4, 1)), EncoderConfig())
+        assert 0 < early.iterations == len(early.loss_trace) < 2000
+        assert "LIMIT" not in early.stop_reason and early.stop_reason
+
+    def test_l1_run(self):
+        # At p = 1 the objective has kinks where a residual crosses zero and
+        # L-BFGS steps overshoot; trial points past the radius cap must be
+        # rejected without a numpy warning (warnings are errors here).
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(40, 3), 0.3, 4))
+        res = train_embedding(dm, EncoderConfig(p=1.0, total_epochs=400))
+        assert np.all(np.diff(res.loss_trace) <= 1e-9 * res.loss_trace[0])
+        assert res.final_loss < 0.8 * res.loss_trace[0]
+        assert res.final_loss == pytest.approx(
+            embedding_loss(res.embedding, dm.scaled(res.scaling_factor), 1.0)
+            / res.scaling_factor, rel=1e-12)
+
+    def test_non_finite_loss_names_the_pair(self):
+        # The pair (b, d) asks for a distance of 60, far past the 24.4 the
+        # boundary margin allows at c = 1, and its residual to the power
+        # 260 overflows; every other term stays finite.
+        values = np.ones((5, 5)) - np.eye(5)
+        values[1, 3] = values[3, 1] = 60.0
+        dm = DistanceMatrix(list("abcde"), values)
+        cfg = EncoderConfig(curvature=1.0, p=260.0, scaling_factor=1.0)
+        with pytest.raises(EncodingError, match="non-finite loss at pair \\('b', 'd'\\)"):
+            train_embedding(dm, cfg)
+
+
+def law_of_cosines_loss(z, tau, p):
+    """sum_{i<j} |asinh(sqrt(w_ij)) - tau_ij|^p in scalar arithmetic, with
+    w = sinh^2((rho_i - rho_j)/2) + sinh(rho_i) sinh(rho_j) ||e_i - e_j||^2 / 4
+    for radii rho = ||z|| and unit directions e: a sum of two nonnegative
+    terms, accurate at any radius and independent of the encoder's kernel."""
+    rows = [[float(x) for x in row] for row in z]
+    radii = [math.sqrt(sum(x * x for x in row)) for row in rows]
+    units = [[x / r for x in row] if r > 0 else [0.0] * len(row)
+             for row, r in zip(rows, radii)]
+    terms = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            apart = sum((a - b) ** 2 for a, b in zip(units[i], units[j]))
+            w = (math.sinh((radii[i] - radii[j]) / 2.0) ** 2
+                 + math.sinh(radii[i]) * math.sinh(radii[j]) * apart / 4.0)
+            terms.append(abs(math.asinh(math.sqrt(w)) - tau[i, j]) ** p)
+    return math.fsum(terms)
+
+
+def scaled_tangents(rng, radii, d):
+    """Rows of sqrt(c)-scaled tangent vectors with the given norms."""
+    g = rng.standard_normal((len(radii), d))
+    return g * (np.asarray(radii) / np.linalg.norm(g, axis=1))[:, None]
+
+
+class TestHyperboloidObjective:
+    """The encoder's objective against formulas it does not share code with."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_finite_difference_match(self, p):
+        rng = np.random.default_rng(80)
+        # points next to the origin and just inside the series radius, and
+        # one far out
+        z = scaled_tangents(rng, [1e-9, 10.0, 5e-3, 0.4, 1.3, 2.2, 3.1], 3)
+        tau = random_dm(rng, 7).values * 3.0
+        objective = embedding_module._HyperboloidObjective(tau, list("abcdefg"), p, 3)
+        value, grad = objective(z.reshape(-1))
+        # The kernel's w is a difference of terms of size e^(2 rho) / 16, so
+        # pairs with the far point carry about 1e-16 e^rho relative error.
+        assert value == pytest.approx(law_of_cosines_loss(z, tau, p), rel=1e-12)
+        eps = 1e-6
+        fd = np.zeros(z.size)
+        for k in range(z.size):
+            up, dn = z.copy().reshape(-1), z.copy().reshape(-1)
+            up[k] += eps
+            dn[k] -= eps
+            fd[k] = (law_of_cosines_loss(up.reshape(z.shape), tau, p)
+                     - law_of_cosines_loss(dn.reshape(z.shape), tau, p)) / (2 * eps)
+        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-8
+
+    @pytest.mark.parametrize("c", [1.0, 100.0])
+    def test_distances_match_ball_kernel(self, c):
+        rng = np.random.default_rng(81)
+        z = scaled_tangents(rng, np.linspace(0.0, 12.0, 25), 4)
+        objective = embedding_module._HyperboloidObjective(
+            np.zeros((25, 25)), [f"e{i}" for i in range(25)], 2.0, 4)
+        objective(z.reshape(-1))
+        got = 2.0 / np.sqrt(c) * np.arcsinh(np.sqrt(objective.w))
+        points = embedding_module._tangent_to_ball(z, c)
+        want = ball.pairwise_distance_matrix(points, c)
+        # The ball's own coordinates hold a point at sqrt(c)-radius rho to
+        # about 1e-16 e^rho in rho, 2e-11 at rho = 12.
+        assert np.abs(got - want).max() < 1e-10 / np.sqrt(c)
+        assert np.array_equal(got, got.T) and np.all(np.diag(got) == 0.0)
+        # the ball points map back to the same vectors
+        back = embedding_module._ball_to_tangent(points, c)
+        assert np.abs(back - z).max() < 1e-10
+
+    def test_near_coincident_far_points_stay_finite(self):
+        # Far out, ||a_i - a_j||^2 and (b_i - b_j)^2 nearly cancel, and for
+        # points a few ulps apart their rounded difference goes negative.
+        rng = np.random.default_rng(83)
+        e = rng.standard_normal(4)
+        e /= np.linalg.norm(e)
+        z = np.array([20.0 * e, 20.0 * e * (1.0 + 1e-14), 20.0 * e + 1e-14, 0.5 * e])
+        ch, g, _ = reference_radial(np.linalg.norm(z, axis=1))
+        a = 0.5 * g[:, None] * z
+        unclamped = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=-1) - np.subtract.outer(
+            0.5 * ch, 0.5 * ch) ** 2
+        assert np.any(unclamped < 0.0)
+        objective = embedding_module._HyperboloidObjective(
+            np.ones((4, 4)) - np.eye(4), list("abcd"), 2.0, 4)
+        value, grad = objective(z.reshape(-1))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert np.all(objective.w >= 0.0)
+
+    def test_point_past_radius_cap_gives_infinity(self):
+        z = scaled_tangents(np.random.default_rng(82), [0.5, 1.0, 30.5], 2)
+        objective = embedding_module._HyperboloidObjective(np.ones((3, 3)), ["a", "b", "c"], 1.0, 2)
+        value, grad = objective(z.reshape(-1))
+        assert value == np.inf and np.all(grad == 0.0)
+        z[2] *= 29.9 / 30.5
+        assert np.isfinite(objective(z.reshape(-1))[0])
+
+
 class TestBitwiseReference:
-    """The encoder reproduces the reference loop bit for bit."""
+    """The encoder and its kernels reproduce the plain references bit for bit."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_matches_reference(self, n, d, p):
         dm = random_dm(np.random.default_rng(1000 + n), n)
-        cfg = EncoderConfig(dimension=d, p=p, seed=n + d, total_epochs=40, burnin_epochs=4)
+        cfg = EncoderConfig(dimension=d, p=p, seed=n + d, total_epochs=40)
         assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
 
     def test_noisy_tree_metric(self):
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(24, 5), 0.3, 6))
-        cfg = EncoderConfig(total_epochs=60, burnin_epochs=6)
+        cfg = EncoderConfig(total_epochs=60)
         assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
 
     def test_saturating_run(self):
-        # Targets far beyond the ball's reachable diameter pin points at the
-        # boundary margin, so the clip path runs in most epochs.
+        # Targets far beyond the ball's reachable diameter drive points past
+        # the boundary margin, so trial points hit the radius cap and the
+        # final clip moves points.
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(30, 7), 0.3, 8))
-        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=80, burnin_epochs=8)
+        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=80)
         res = train_embedding(dm, cfg)
-        assert res.boundary_rescales > cfg.total_epochs
+        assert res.points_at_limit > 0
         assert_bitwise(res, reference_train(dm, cfg))
 
     @pytest.mark.parametrize("diagonal", [0.0, 0.5])
@@ -534,7 +703,7 @@ class TestBitwiseReference:
 class TestBoundaryCounts:
     def test_saturating_run_counts(self):
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(64, 3), 0.3, 4))
-        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=200, burnin_epochs=20)
+        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=200)
         res = train_embedding(dm, cfg)
         assert res.boundary_rescales > 0
         assert 0 < res.points_at_limit <= dm.n
@@ -548,7 +717,7 @@ class TestBoundaryCounts:
         # A tree metric at half the default spread stays clear of the margin.
         dm = leaf_distance_matrix(random_binary_tree(16, 2))
         cfg = EncoderConfig(scaling_factor=1.0 / float(dm.values.max()),
-                            total_epochs=100, burnin_epochs=10)
+                            total_epochs=100)
         res = train_embedding(dm, cfg)
         assert (res.boundary_rescales, res.points_at_limit) == (0, 0)
 
@@ -581,7 +750,7 @@ class TestDenoisedMetric:
     def test_tree_fit_is_nearly_four_point(self):
         t = random_binary_tree(6, 3)
         dm = leaf_distance_matrix(t)
-        res = train_embedding(dm, EncoderConfig(seed=0, total_epochs=600, burnin_epochs=60))
+        res = train_embedding(dm, EncoderConfig(seed=0, total_epochs=600))
         out = denoised_metric(res)
         delta = delta_exact(out).delta
         assert four_point_check(out, 2.0 * delta)
@@ -600,7 +769,7 @@ class TestExports:
         rng = np.random.default_rng(62)
         dm = random_dm(rng, 5)
         cfg = EncoderConfig(
-            seed=0, total_epochs=30, burnin_epochs=3, dimension=3, curvature=50.0
+            seed=0, total_epochs=30, dimension=3, curvature=50.0
         )
         res = train_embedding(dm, cfg)
         path = tmp_path / "emb.txt"
@@ -618,9 +787,11 @@ class TestExports:
     def test_loss_trace_file(self, tmp_path):
         rng = np.random.default_rng(63)
         dm = random_dm(rng, 4)
-        res = train_embedding(dm, EncoderConfig(seed=0, total_epochs=25, burnin_epochs=2))
+        res = train_embedding(dm, EncoderConfig(seed=0, total_epochs=25))
         path = tmp_path / "trace.txt"
         write_loss_trace(res, path)
         rows = [ln.split("\t") for ln in path.read_text().splitlines()]
-        assert len(rows) == 25
+        # One row per iteration; this run stops before its 25-iteration cap.
+        assert len(rows) == res.iterations < 25
+        assert [int(k) for k, _ in rows] == list(range(len(rows)))
         assert [float(x) for _, x in rows] == list(res.loss_trace)

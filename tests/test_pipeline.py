@@ -53,7 +53,7 @@ def scoring_inputs():
     yield noisy_input(n=40, seed=3)
 
 
-SMALL_CFG = EncoderConfig(seed=0, total_epochs=120, burnin_epochs=12)
+SMALL_CFG = EncoderConfig(seed=0, total_epochs=120)
 
 
 class TestMeasureDelta:
@@ -241,7 +241,7 @@ class TestPerfectInput:
 
         dm = leaf_distance_matrix(random_binary_tree(8, 2))
         report, _ = run_pipeline(
-            dm, EncoderConfig(seed=0, total_epochs=300, burnin_epochs=30), ("nj",)
+            dm, EncoderConfig(seed=0, total_epochs=300), ("nj",)
         )
         row = report.rows[0]
         assert row.loss_direct < 1e-6
