@@ -3,11 +3,10 @@
 All routines act on ``(n, d)`` coordinate blocks of the open ball
 ``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0``, as the
 encoder needs, and validate nothing.  One distance kernel,
-:func:`pairwise_geometry`, gives the ball-side loss and gradient and, through
-:func:`pairwise_distance_matrix`, the denoised matrix.  It returns a
-:class:`PairGeometry` and can overwrite one from an earlier call.  Its
-explicit-difference product, :func:`squared_differences`, also serves the
-encoder's hyperboloid objective, which allocates its buffers once per run.
+:func:`pairwise_distance_matrix`, gives the ball-side loss and the denoised
+matrix.  Its explicit-difference product, :func:`squared_differences`, also
+serves the encoder's hyperboloid objective, which allocates its buffers once
+per run and gives every gradient, ``loss_gradient``'s included.
 """
 
 from __future__ import annotations
@@ -102,53 +101,25 @@ def squared_differences(points: np.ndarray, work: DifferenceBuffers,
     return out
 
 
-class PairGeometry(DifferenceBuffers):
-    """Per-point and pairwise quantities of an (n, d) point block.
+def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
+    """All pairwise hyperbolic distances of an (n, d) point block.
 
-    ``sqnorm_i = ||x_i||^2``, ``conf_i = 1 - c||x_i||^2``,
-    ``cc_ij = conf_i conf_j``, ``q_ij = c||x_i - x_j||^2 / cc_ij`` and
-    ``dist`` the hyperbolic distances (exactly symmetric, zero diagonal).
-    The inherited buffers serve :func:`squared_differences`.  A new instance
-    holds uninitialised arrays.
-    """
-
-    def __init__(self, n: int, d: int):
-        super().__init__(n, d)
-        self.sqnorm = np.empty(n)
-        self.conf = np.empty(n)
-        self.cc = np.empty((n, n))
-        self.q = np.empty((n, n))
-        self.dist = np.empty((n, n))
-
-
-def pairwise_geometry(points: np.ndarray, c: float,
-                      out: PairGeometry | None = None) -> PairGeometry:
-    """The :class:`PairGeometry` of an (n, d) point block, shared by distances and gradients.
-
-    ``out``, a result of an earlier call on a block of the same shape, is
-    overwritten instead of allocating new arrays.  The squared differences
-    come from :func:`squared_differences`, and distances are
-    ``(2/sqrt(c)) asinh(sqrt(q))``, the textbook ``acosh(1 + 2q)/sqrt(c)`` in
-    a form that stays accurate where ``1 + 2q`` rounds to 1.
+    Exactly symmetric with a zero diagonal.  The squared differences come
+    from :func:`squared_differences`, and distances are
+    ``(2/sqrt(c)) asinh(sqrt(q))`` with ``q = c||x_i - x_j||^2 / (conf_i conf_j)``
+    and ``conf_i = 1 - c||x_i||^2``: the textbook ``acosh(1 + 2q)/sqrt(c)``
+    in a form that stays accurate where ``1 + 2q`` rounds to 1.
     """
     pts = np.asarray(points, dtype=np.float64)
-    geo = PairGeometry(*pts.shape) if out is None else out
-    sq = squared_differences(pts, geo, geo.q)
-    np.einsum("ij,ij->i", pts, pts, out=geo.sqnorm)
-    conf = np.multiply(c, geo.sqnorm, out=geo.conf)
-    np.subtract(1.0, conf, out=conf)
-    np.multiply(conf[:, None], conf, out=geo.cc)
-    q = np.divide(sq, geo.cc, out=sq)
+    n, d = pts.shape
+    q = squared_differences(pts, DifferenceBuffers(n, d), np.empty((n, n)))
+    conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
+    q /= np.outer(conf, conf)
     q *= c
-    dist = np.sqrt(q, out=geo.dist)
+    dist = np.sqrt(q, out=q)
     np.arcsinh(dist, out=dist)
     dist *= 2.0 / np.sqrt(c)
-    return geo
-
-
-def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
-    """All pairwise hyperbolic distances of an (n, d) point block."""
-    return pairwise_geometry(points, c).dist
+    return dist
 
 
 def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
@@ -172,12 +143,7 @@ def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float) -> np.ndar
     return mobius_add_points(base, step, c)
 
 
-def conformal_to_riemannian(points: np.ndarray, c: float, ambient_grad: np.ndarray,
-                            conf: np.ndarray | None = None) -> np.ndarray:
-    """Rescale ambient gradients by the inverse Poincare metric, ((1-c||x||^2)^2)/4.
-
-    ``conf`` may pass the rows' ``1 - c||x||^2`` (:class:`PairGeometry`).
-    """
-    if conf is None:
-        conf = 1.0 - c * np.einsum("ij,ij->i", points, points)
+def conformal_to_riemannian(points: np.ndarray, c: float, ambient_grad: np.ndarray) -> np.ndarray:
+    """Rescale ambient gradients by the inverse Poincare metric, ((1-c||x||^2)^2)/4."""
+    conf = 1.0 - c * np.einsum("ij,ij->i", points, points)
     return ambient_grad * (conf**2 / 4.0)[:, None]

@@ -4,7 +4,8 @@ The encoder places one point per entity and minimizes the l_p distortion
 between pairwise hyperbolic distances and (rescaled) input dissimilarities.
 It optimizes free tangent vectors at the origin with L-BFGS, computing the
 loss and its gradient in hyperboloid (Lorentz) coordinates, and forms the
-ball points only at the end.  Because the ball's own four-point slack
+ball points only at the end; :func:`loss_gradient` carries that one
+gradient back to ball coordinates.  Because the ball's own four-point slack
 shrinks like 1/sqrt(curvature), the optimized metric is closer to a
 tree-metric than the input, which is the denoising effect exploited by the
 downstream decoders.
@@ -27,6 +28,11 @@ from .metrics import DistanceMatrix, check_exponent
 #: 2 * atanh(1 - margin) / sqrt(c)  (~2.44 for c = 100, margin = 1e-5).
 TARGET_SPREAD = 2.0
 
+#: The largest rescaled target the mds start takes.  It double-centres the
+#: squared targets, whose entries reach 4 times the largest square, so this
+#: keeps them a quarter of the largest double.
+_MAX_TARGET = np.sqrt(np.finfo(np.float64).max) / 4.0
+
 #: Correction pairs L-BFGS keeps.
 _LBFGS_MEMORY = 20
 
@@ -43,7 +49,7 @@ _SERIES_RADIUS = 1e-2
 
 
 class EncodingError(RuntimeError):
-    """Raised when the optimization produces a non-finite loss."""
+    """Raised when the rescaled targets or the optimization leave finite arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -215,47 +221,43 @@ def _pair_weights(resid: np.ndarray, q: np.ndarray, p: float,
     return t
 
 
-def _power_gradient(points: np.ndarray, geo: ball.PairGeometry, resid: np.ndarray,
-                    c: float, p: float, work: _GradientWork | None = None) -> np.ndarray:
-    """Ambient gradient of sum_{i<j} |resid_ij|^p, resid = d(x_i, x_j) - t_ij.
-
-    ``geo`` is :func:`ball.pairwise_geometry` of ``points``; the distance is
-    (2/sqrt(c)) asinh(sqrt(q)), so the pair term's derivative in x_i is
-    T_ij (x_i - x_j) + T_ij q_ij conf_j x_i with
-    T_ij = 2 sqrt(c) r'_ij / (conf_i conf_j sqrt(q_ij (1 + q_ij))) and r'_ij
-    from :func:`_pair_weights`.  The sum over j of T_ij (x_i - x_j) is taken
-    as rowsum(T) x_i - (T @ X)_i.  ``resid`` is overwritten with r'.
-    """
-    work = _GradientWork(len(points)) if work is None else work
-    t = _pair_weights(resid, geo.q, p, work)
-    t *= 2.0 * np.sqrt(c)
-    t /= geo.cc
-    tq = np.multiply(t, geo.q, out=work.root)
-    row = np.add.reduce(t, axis=1) + tq @ geo.conf
-    return row[:, None] * points - t @ points
-
-
 def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> np.ndarray:
     """Riemannian gradient of the rooted l_p loss as an (n, d) array.
 
     Row i is the gradient at point i: the ambient partial derivatives
-    rescaled by the inverse ball metric, (1 - c||x_i||^2)^2 / 4.  A perfect
-    fit returns zeros (subgradient convention at the non-smooth point).
+    rescaled by the inverse ball metric, (1 - c||x_i||^2)^2 / 4.  The ambient
+    gradient is the encoder's own (:class:`_HyperboloidObjective`) at the
+    points' tangent vectors, carried back through the root and through the
+    radial map z = phi(r) x / r, phi(r) = 2 atanh(sqrt(c) r), of
+    :func:`_ball_to_tangent`.  An exact perfect fit (a zero
+    :func:`embedding_loss` or objective) returns zeros, the subgradient
+    convention at the non-smooth point.  A point past the encoder's radius
+    cap, sqrt(c)||x_i|| > tanh 15 (within about 2e-13 of the boundary),
+    raises ``ValueError``.
     """
-    check_exponent(p)
-    if list(emb.labels) != dm.labels:
-        raise ValueError("embedding and matrix are labeled differently; align them first")
-    c = emb.curvature
-    geo = ball.pairwise_geometry(emb.points, c)
-    resid = geo.dist - dm.values
-    power_sum = _power_sum(resid, p)
-    if power_sum == 0.0:
-        ambient = np.zeros_like(emb.points)
-    else:
-        # chain rule through the outer 1/p root
-        ambient = _power_gradient(emb.points, geo, resid, c, p) * (
-            power_sum ** (1.0 / p - 1.0) / p)
-    return ball.conformal_to_riemannian(emb.points, c, ambient, geo.conf)
+    x, c = emb.points, emb.curvature
+    if embedding_loss(emb, dm, p) == 0.0:
+        return np.zeros_like(x)
+    n, d = x.shape
+    rt = np.sqrt(c)
+    unit = 2.0 / rt
+    z = _ball_to_tangent(x, c)
+    value, grad = _HyperboloidObjective(dm.values / unit, dm.labels, p, d)(z.reshape(-1))
+    if value == np.inf:
+        raise ValueError("a point lies past the encoder's radius cap, "
+                         "sqrt(c)*||x|| > tanh(15); it has no gradient")
+    if value == 0.0:  # a perfect fit in the objective's own rounding
+        return np.zeros_like(x)
+    grad = grad.reshape(n, d) * (unit * value ** (1.0 / p - 1.0) / p)
+    # The map's Jacobian is symmetric: (phi/r) I + (phi' - phi/r) xhat xhat^T,
+    # phi' = 2 sqrt(c) / (1 - c r^2); at the origin it is 2 sqrt(c) I.
+    norm = np.linalg.norm(x, axis=1)
+    nonzero = norm > 0.0
+    slope = np.divide(np.linalg.norm(z, axis=1), norm, out=np.full(n, 2.0 * rt), where=nonzero)
+    xhat = np.divide(x, norm[:, None], out=np.zeros_like(x), where=nonzero[:, None])
+    bend = (2.0 * rt / (1.0 - c * norm**2) - slope) * np.einsum("ij,ij->i", xhat, grad)
+    ambient = slope[:, None] * grad + bend[:, None] * xhat
+    return ball.conformal_to_riemannian(x, c, ambient)
 
 
 def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
@@ -287,13 +289,18 @@ def _init_points(cfg: EncoderConfig, target: np.ndarray,
     """Starting configuration against the already-rescaled target matrix.
 
     The mds layout is seed-independent; a small tangent jitter is all the
-    seed changes.  Returns the points and how many of them were clipped to
-    the boundary margin.
+    seed changes.  A layout row whose tanh rounded onto the boundary, where
+    the exp map divides by zero, is pulled to the margin before the jitter;
+    rows inside the boundary do not move.  Returns the points and how many
+    of them were pulled to the boundary margin, before and after the jitter.
     """
-    pts = _mds_init(target, cfg.dimension, cfg.curvature)
-    jitter = 1e-3 / np.sqrt(cfg.curvature) * rng.standard_normal(pts.shape)
-    pts = ball.exp_map_points(pts, jitter, cfg.curvature)
-    return ball.clip_to_ball(pts, cfg.curvature)
+    c = cfg.curvature
+    pts = _mds_init(target, cfg.dimension, c)
+    on_boundary = c * np.einsum("ij,ij->i", pts, pts) >= 1.0
+    pts[on_boundary], pulled = ball.clip_to_ball(pts[on_boundary], c)
+    jitter = 1e-3 / np.sqrt(c) * rng.standard_normal(pts.shape)
+    pts, clipped = ball.clip_to_ball(ball.exp_map_points(pts, jitter, c), c)
+    return pts, pulled + clipped
 
 
 def _radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,8 +425,8 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     stops early only when an iteration cannot lower the loss.  The result's
     ball points are then pulled ``ball.DEFAULT_MARGIN`` inside the boundary,
     and the points moved are counted; the final loss is measured on those
-    points with :func:`ball.pairwise_geometry`.  Fully deterministic for a
-    given seed.
+    points with :func:`ball.pairwise_distance_matrix`.  Fully deterministic
+    for a given seed.
     """
     import scipy.optimize
     n, c, p = dm.n, cfg.curvature, cfg.p
@@ -432,6 +439,10 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
         s = TARGET_SPREAD / max_d
     else:
         s = 1.0
+    if not max_d * s <= _MAX_TARGET:
+        raise EncodingError(
+            f"scaling factor {s!r} maps the largest entry to {max_d * s:.3g}, past the "
+            f"{_MAX_TARGET:.3g} the mds start can square; reduce the scaling factor")
     target = dm.values * s
     start, rescales = _init_points(cfg, target, rng)
 
@@ -451,7 +462,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     points, clipped = ball.clip_to_ball(_tangent_to_ball(opt.x.reshape(n, -1), c), c)
 
     # Every accepted value was finite, and the clip only shortens distances.
-    resid = ball.pairwise_geometry(points, c).dist
+    resid = ball.pairwise_distance_matrix(points, c)
     resid -= target
     final = _power_sum(resid, p) ** (1.0 / p) / s
     trace = np.empty(max(len(accepted), 1))

@@ -325,6 +325,15 @@ class TestEncoderOptions:
         report = (tmp_path / "pipeline" / "report.txt").read_text()
         assert "boundary" not in report and "rescales" not in report
 
+    def test_targets_too_large_to_square_exit_2(self, tmp_path, capsys):
+        values = np.ones((3, 3)) - np.eye(3)
+        values[0, 1] = values[1, 0] = 1e200
+        save_matrix(DistanceMatrix(list("abc"), values), tmp_path / "huge.txt")
+        rc = main(["pipeline", "--input", str(tmp_path / "huge.txt"), "--output-dir",
+                   str(tmp_path / "out"), "--scaling-factor", "1.0", *FAST])
+        assert rc == 2
+        assert "scaling factor 1.0" in capsys.readouterr().err
+
     def test_solver_outcome_on_stderr(self, tmp_path, capsys):
         src = synth(tmp_path)
         capsys.readouterr()

@@ -55,7 +55,7 @@ def random_embedding(rng, n, d, c, rmax=0.6):
 # ---------------------------------------------------------------------------
 
 
-def reference_geometry(pts, c):
+def reference_distances(pts, c):
     n = pts.shape[0]
     conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
     sq = np.zeros((n, n))
@@ -68,17 +68,7 @@ def reference_geometry(pts, c):
     q *= c
     dist = np.arcsinh(np.sqrt(q))
     dist *= 2.0 / np.sqrt(c)
-    return conf, q, dist
-
-
-def reference_power_gradient(points, conf, q, resid, c, p):
-    coef = p * np.abs(resid) ** (p - 1.0) * np.sign(resid)
-    root = np.sqrt(q * (1.0 + q))
-    t = np.divide(coef, root, out=np.zeros_like(coef), where=root > 0.0)
-    t *= 2.0 * np.sqrt(c)
-    t /= np.outer(conf, conf)
-    row = t.sum(axis=1) + (t * q) @ conf
-    return row[:, None] * points - t @ points
+    return dist
 
 
 def reference_clip(points, c, margin):
@@ -169,7 +159,7 @@ def reference_train(dm, cfg):
     ch, g, _ = reference_radial(np.linalg.norm(z, axis=1))
     points, moved = reference_clip(
         (g[:, None] * z) / (np.sqrt(c) * (1.0 + ch))[:, None], c, ball.DEFAULT_MARGIN)
-    resid = reference_geometry(points, c)[2] - target
+    resid = reference_distances(points, c) - target
     final = (0.5 * float(np.sum(np.abs(resid) ** p))) ** (1.0 / p) / s
     trace = np.append(unit * np.array(accepted[:-1]) ** (1.0 / p) / s, final)
     return points, trace, opt.nit, start_moved + moved, moved
@@ -357,6 +347,18 @@ class TestLossGradient:
         )
         assert np.allclose(loss_gradient(emb, dm, 2.0), 0.0, atol=1e-12)
 
+    def test_zero_at_perfect_fit_of_the_objective(self):
+        # The target is the objective's own distance, which the ball kernel
+        # misses by an ulp: the ball loss is not 0, but the objective is.
+        x = np.random.default_rng(0).standard_normal((2, 2)) * 0.05
+        c = 100.0
+        objective = embedding_module._HyperboloidObjective(np.zeros((2, 2)), ["a", "b"], 2.0, 2)
+        objective(embedding_module._ball_to_tangent(x, c).reshape(-1))
+        dm = DistanceMatrix(["a", "b"], 2.0 / np.sqrt(c) * np.arcsinh(np.sqrt(objective.w)))
+        emb = PoincareEmbedding(["a", "b"], x, c)
+        assert embedding_loss(emb, dm, 2.0) > 0.0
+        assert np.all(loss_gradient(emb, dm, 2.0) == 0.0)
+
     def test_collinear_pair_sign(self):
         # two points on a line through the origin; too-short embedded
         # distance pushes the outer point outward (negative gradient points
@@ -389,6 +391,47 @@ class TestLossGradient:
                 fd = ball.conformal_to_riemannian(emb.points, c, fd)
                 rel = np.abs(got - fd).max() / np.abs(fd).max()
                 assert rel < 1e-4
+
+
+    def test_point_past_radius_cap_raises(self):
+        # sqrt(c)||x|| = 1 - 1e-13 is inside the ball but past tanh(15), the
+        # encoder's cap of 30 on the sqrt(c)-scaled distance from the origin.
+        for c in (1.0, 100.0):
+            pts = np.array([[0.0, 0.1], [1.0 - 1e-13, 0.0], [0.0, -0.2]]) / np.sqrt(c)
+            emb = PoincareEmbedding(["e0", "e1", "e2"], pts, c)
+            with pytest.raises(ValueError, match="radius cap"):
+                loss_gradient(emb, random_dm(np.random.default_rng(58), 3), 2.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_finite_difference_match_at_the_margin(self, p):
+        c = 100.0
+        rng = np.random.default_rng(59)
+        emb = random_embedding(rng, 5, 3, c)
+        pts = emb.points.copy()
+        pts[2] *= (1.0 - ball.DEFAULT_MARGIN) / (np.sqrt(c) * np.linalg.norm(pts[2]))
+        emb = PoincareEmbedding(emb.labels, pts, c)
+        dm = random_dm(rng, 5).scaled(5.0)
+        got = loss_gradient(emb, dm, p)
+        assert np.all(np.isfinite(got))
+        # Steps a thousandth of the margin: the distances to point 2 curve like
+        # 1/(1 - sqrt(c) r), so its row needs a short step.  The Riemannian
+        # gradient there is 1e-5 of the others', and each row is held to its
+        # own size.
+        eps = 1e-8 / np.sqrt(c)
+        fd = np.zeros_like(pts)
+        for i in range(5):
+            for k in range(3):
+                up, dn = pts.copy(), pts.copy()
+                up[i, k] += eps
+                dn[i, k] -= eps
+                fd[i, k] = (
+                    embedding_loss(PoincareEmbedding(emb.labels, up, c), dm, p)
+                    - embedding_loss(PoincareEmbedding(emb.labels, dn, c), dm, p)
+                ) / (2 * eps)
+        fd = ball.conformal_to_riemannian(pts, c, fd)
+        scale = np.abs(fd).max(axis=1)
+        assert np.all(np.abs(got - fd).max(axis=1) < 1e-5 * scale)
+        assert scale[2] < 1e-4 * scale.max()
 
 
 class TestTraining:
@@ -514,6 +557,16 @@ class TestTraining:
         assert res.final_loss == pytest.approx(
             embedding_loss(res.embedding, dm.scaled(res.scaling_factor), 1.0)
             / res.scaling_factor, rel=1e-12)
+
+    def test_targets_too_large_to_square_rejected(self):
+        # The mds start squares the targets, and 1e200 squared overflows.
+        values = np.ones((3, 3)) - np.eye(3)
+        values[0, 1] = values[1, 0] = 1e200
+        dm = DistanceMatrix(list("abc"), values)
+        with pytest.raises(EncodingError, match="scaling factor 1.0 maps the largest entry"):
+            train_embedding(dm, EncoderConfig(scaling_factor=1.0))
+        # the automatic factor brings the same matrix into range
+        assert np.isfinite(train_embedding(dm, EncoderConfig(total_epochs=5)).final_loss)
 
     def test_non_finite_loss_names_the_pair(self):
         # The pair (b, d) asks for a distance of 60, far past the 24.4 the
@@ -651,20 +704,21 @@ class TestBitwiseReference:
     @pytest.mark.parametrize("diagonal", [0.0, 0.5])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_power_gradient_with_coincident_points(self, p, diagonal):
+        # The objective's value and gradient of sum |resid|^p, with three
+        # coincident points (w = 0 off the diagonal).
         rng = np.random.default_rng(70)
-        c = 100.0
-        pts = random_embedding(rng, 7, 3, c).points.copy()
-        pts[4] = pts[1]
-        pts[6] = pts[1]
-        # a nonzero diagonal checks that self-pairs contribute exactly nothing
-        target = random_dm(rng, 7).values + diagonal * np.eye(7)
-        conf, q, dist = reference_geometry(pts, c)
-        assert np.count_nonzero(q == 0.0) == 7 + 6
-        resid = dist - target
-        expected = reference_power_gradient(pts, conf, q, resid, c, p)
-        geo = ball.pairwise_geometry(pts, c)
-        got = embedding_module._power_gradient(pts, geo, geo.dist - target, c, p)
-        assert got.tobytes() == expected.tobytes()
+        z = scaled_tangents(rng, [0.3, 1.2, 2.5, 0.0, 4.0, 0.7, 1.9], 3)
+        z[4] = z[1]
+        z[6] = z[1]
+        tau = random_dm(rng, 7).values * 3.0
+        # a nonzero diagonal checks that self-pairs add nothing to the gradient
+        target = tau + diagonal * np.eye(7)
+        objective = embedding_module._HyperboloidObjective(target, list("abcdefg"), p, 3)
+        value, grad = objective(z.reshape(-1))
+        assert np.count_nonzero(objective.w == 0.0) == 7 + 6
+        want_value, want_grad = reference_objective(z, target, p)
+        assert (value, grad.tobytes()) == (want_value, want_grad.tobytes())
+        assert grad.tobytes() == reference_objective(z, tau, p)[1].tobytes()
 
     def test_mds_start_matches_numpy_eigh(self):
         rng = np.random.default_rng(72)
@@ -683,21 +737,14 @@ class TestBitwiseReference:
         # n = 300 takes several row blocks, the last one overlapping.
         for n, d in [(1, 2), (5, 2), (40, 4), (300, 4), (12, 9)]:
             pts = random_embedding(rng, n, d, 100.0, rmax=0.99).points
-            conf, q, dist = reference_geometry(pts, 100.0)
-            geo = ball.pairwise_geometry(pts, 100.0)
-            for got, want in [(geo.conf, conf), (geo.q, q), (geo.dist, dist),
-                              (geo.cc, np.outer(conf, conf))]:
-                assert got.tobytes() == want.tobytes()
-            again = ball.pairwise_geometry(pts[::-1], 100.0, out=geo)
-            assert again is geo
-            assert geo.dist.tobytes() == reference_geometry(pts[::-1], 100.0)[2].tobytes()
+            got = ball.pairwise_distance_matrix(pts, 100.0)
+            assert got.tobytes() == reference_distances(pts, 100.0).tobytes()
 
     def test_kernel_rejects_mismatched_buffers(self):
-        geo = ball.pairwise_geometry(np.zeros((4, 2)), 1.0)
-        with pytest.raises(ValueError):
-            ball.pairwise_geometry(np.zeros((5, 2)), 1.0, out=geo)
-        with pytest.raises(ValueError):
-            ball.pairwise_geometry(np.zeros((4, 3)), 1.0, out=geo)
+        work = ball.DifferenceBuffers(4, 2)
+        for shape in ((5, 2), (4, 3)):
+            with pytest.raises(ValueError, match="buffers for shape"):
+                ball.squared_differences(np.zeros(shape), work, np.empty((shape[0], shape[0])))
 
 
 class TestBoundaryCounts:
@@ -720,6 +767,30 @@ class TestBoundaryCounts:
                             total_epochs=100)
         res = train_embedding(dm, cfg)
         assert (res.boundary_rescales, res.points_at_limit) == (0, 0)
+
+    def test_start_rows_on_the_boundary_pulled_in(self):
+        # At scaling factor 3 the mds layout's tanh rounds 6 of these 16 rows
+        # onto the boundary, where the exp map would divide by zero (warnings
+        # are errors here); the other 10 lie between the margin and the
+        # boundary and must not move before the jitter.
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(16, 0), 0.3, 1))
+        cfg = EncoderConfig(scaling_factor=3.0, total_epochs=30)
+        c, target = cfg.curvature, 3.0 * dm.values
+        layout = embedding_module._mds_init(target, cfg.dimension, c)
+        on = c * np.einsum("ij,ij->i", layout, layout) >= 1.0
+        radii = np.sqrt(c) * np.linalg.norm(layout[~on], axis=1)
+        assert np.count_nonzero(on) == 6 and np.all(radii > 1.0 - ball.DEFAULT_MARGIN)
+        start, moved = embedding_module._init_points(cfg, target, np.random.default_rng(0))
+        jitter = 1e-3 / np.sqrt(c) * np.random.default_rng(0).standard_normal(layout.shape)
+        # the other rows as the jitter and clip leave them, with the boundary
+        # rows moved to the origin instead (the routines work row by row)
+        base = np.where(on[:, None], 0.0, layout)
+        unmoved = ball.clip_to_ball(ball.exp_map_points(base, jitter, c), c)[0]
+        assert start[~on].tobytes() == unmoved[~on].tobytes()
+        # 6 rows pulled in before the jitter, then all 16 past the margin
+        assert moved == 6 + 16
+        res = train_embedding(dm, cfg)
+        assert res.boundary_rescales - res.points_at_limit == moved
 
     def test_clip_reports_rows_moved(self):
         pts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, -3.0]])
