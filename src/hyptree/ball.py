@@ -1,8 +1,9 @@
 """Poincare-ball geometry on point blocks: distances, Mobius sums, exp map, clipping.
 
 All routines act on ``(n, d)`` coordinate blocks of the open ball
-``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0``, as the
-encoder needs, and validate nothing.  One distance kernel,
+``B^d_c = {x : sqrt(c)*||x|| < 1}`` with curvature parameter ``c > 0`` and
+validate nothing.  The ball is only the encoder's output format: it fits
+tangent vectors and clips once, at the end.  One distance kernel,
 :func:`pairwise_distance_matrix`, gives the ball-side loss and the denoised
 matrix.  Its explicit-difference product, :func:`squared_differences`, also
 serves the encoder's hyperboloid objective, which allocates its buffers once

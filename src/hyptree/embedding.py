@@ -36,11 +36,16 @@ _MAX_TARGET = np.sqrt(np.finfo(np.float64).max) / 4.0
 #: Correction pairs L-BFGS keeps.
 _LBFGS_MEMORY = 20
 
+#: The start's seeded N(0, I) jitter scale in the free vectors z, and the
+#: sqrt(c)-scaled radius its rows are shortened to: the final clip's, ~12.2.
+_START_JITTER = 2e-3
+_START_RADIUS = 2.0 * np.arctanh(1.0 - ball.DEFAULT_MARGIN)
+
 #: The objective is +inf where a point's sqrt(c)-scaled hyperbolic radius
 #: exceeds this, so the line search backs off from points whose sinh and
-#: cosh would overflow.  The start lies within 2 atanh(1 - DEFAULT_MARGIN),
-#: about 12.2, and double precision holds a ball point strictly inside the
-#: boundary up to a radius of about 37.
+#: cosh would overflow.  The start lies within ``_START_RADIUS``, and double
+#: precision holds a ball point strictly inside the boundary up to a radius
+#: of about 37.
 _MAX_RADIUS = 30.0
 
 #: Below this radius the radial factors of :func:`_radial` come from their
@@ -61,12 +66,13 @@ class EncoderConfig:
     stops earlier when an iteration can no longer lower the loss.  Every
     evaluation uses all pairs.
 
-    Every run starts from one layout, ``init_scheme = "mds"``: a classical
-    metric-MDS layout of the target lifted through the origin exponential
-    map, plus a seed-dependent jitter, pulled ``ball.DEFAULT_MARGIN`` inside
-    the boundary.  Being spread out, it avoids the ring-shaped local minima a
-    collapsed start falls into in two dimensions.  The seed moves only that
-    jitter; the optimizer itself is deterministic.
+    Every run starts from one layout, ``init_scheme = "mds"``: the classical
+    MDS coordinates of the target as tangent vectors at the origin, plus a
+    seed-dependent jitter; rows past the final clip's radius are shortened
+    to it and counted in ``EmbeddingResult.boundary_rescales``.  Being spread
+    out, the start avoids the ring-shaped local minima a collapsed start
+    falls into in two dimensions.  The seed moves only that jitter; the
+    optimizer itself is deterministic.
 
     The defaults (four dimensions, curvature 100, at most 2000 iterations)
     were measured on 24 held-out shortcut-noise instances (n = 64 and 128;
@@ -107,14 +113,15 @@ class PoincareEmbedding:
 
     Checked at construction: c is positive and finite, d >= 2, and every
     point has finite coordinates strictly inside the ball.  The instance is
-    frozen and ``points`` is a read-only copy, so the checks keep holding.
+    frozen with tuple ``labels`` and read-only ``points``, so the checks keep holding.
     """
 
-    labels: list[str]
+    labels: tuple[str, ...]
     points: np.ndarray
     curvature: float
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not 0.0 < self.curvature < np.inf:
             raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
         pts = np.array(self.points, dtype=np.float64)
@@ -139,8 +146,8 @@ class EmbeddingResult:
     at least one entry; its last entry is ``final_loss``, the loss of the
     returned embedding.  ``iterations`` is the number of L-BFGS iterations
     and ``stop_reason`` the solver's message.  ``boundary_rescales`` counts
-    the points pulled back onto the boundary margin, at the start and at the
-    end; ``points_at_limit`` is the number of points the end pulled back.
+    the start rows shortened (see :class:`EncoderConfig`) plus the final
+    points pulled back onto the boundary margin, ``points_at_limit`` the latter.
     """
 
     embedding: PoincareEmbedding
@@ -155,25 +162,34 @@ class EmbeddingResult:
 
 
 def embedding_loss(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> float:
-    """l_p distortion between embedded distances and the matrix entries."""
+    """l_p distortion between embedded distances and the matrix entries; see :func:`_power_sum`."""
     check_exponent(p)
     if list(emb.labels) != dm.labels:
         raise ValueError("embedding and matrix are labeled differently; align them first")
     dist = ball.pairwise_distance_matrix(emb.points, emb.curvature)
-    return _power_sum(dist - dm.values, p) ** (1.0 / p)
+    return _power_sum(dist - dm.values, p, dm.labels) ** (1.0 / p)
 
 
-def _power_sum(resid: np.ndarray, p: float, work: np.ndarray | None = None) -> float:
+def _power_sum(resid: np.ndarray, p: float, labels: list[str],
+               work: np.ndarray | None = None) -> float:
     """sum_{i<j} |resid_ij|^p of a symmetric residual matrix with zero diagonal.
 
     ``work``, shaped like ``resid``, receives the terms instead of a new array.
+    A non-finite sum raises :class:`EncodingError` naming the pair of the
+    first non-finite term, or of the largest if only the sum overflowed.
     """
-    if p == 2.0:
-        terms = np.multiply(resid, resid, out=work)
-    else:
-        terms = np.abs(resid, out=work)
-        terms **= p
-    return 0.5 * float(np.add.reduce(terms, axis=None))
+    with np.errstate(over="ignore"):
+        if p == 2.0:
+            terms = np.multiply(resid, resid, out=work)
+        else:
+            terms = np.abs(resid, out=work)
+            terms **= p
+        value = 0.5 * float(np.add.reduce(terms, axis=None))
+    if not np.isfinite(value):
+        i, j = divmod(int(np.argmax(np.where(np.isfinite(terms), terms, np.inf))), len(terms))
+        raise EncodingError(f"non-finite loss at pair ({labels[i]!r}, {labels[j]!r}); "
+                            "reduce the scaling factor")
+    return value
 
 
 class _GradientWork:
@@ -260,13 +276,11 @@ def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) ->
     return ball.conformal_to_riemannian(x, c, ambient)
 
 
-def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
-    """Classical MDS layout lifted through the origin exponential map.
+def _mds_init(values: np.ndarray, d: int) -> np.ndarray:
+    """Classical MDS coordinates of a distance matrix, an (n, d) block.
 
-    Each point lands at hyperbolic distance equal to its Euclidean MDS radius
-    from the origin, preserving MDS directions.  With fewer points than
-    dimensions (always so for n < 3) the layout has n columns, and the rest
-    are zero.
+    With fewer points than dimensions (always so for n < 3) the layout has
+    n columns, and the rest are zero.
     """
     import scipy.linalg
     n = values.shape[0]
@@ -279,28 +293,20 @@ def _mds_init(values: np.ndarray, d: int, c: float) -> np.ndarray:
     coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
     if top.size < d:
         coords = np.hstack([coords, np.zeros((n, d - top.size))])
-    radii = np.linalg.norm(coords, axis=1, keepdims=True)
-    unit = coords / np.maximum(radii, 1e-300)
-    return unit * np.tanh(np.sqrt(c) * radii / 2.0) / np.sqrt(c)
+    return coords
 
 
-def _init_points(cfg: EncoderConfig, target: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Starting configuration against the already-rescaled target matrix.
-
-    The mds layout is seed-independent; a small tangent jitter is all the
-    seed changes.  A layout row whose tanh rounded onto the boundary, where
-    the exp map divides by zero, is pulled to the margin before the jitter;
-    rows inside the boundary do not move.  Returns the points and how many
-    of them were pulled to the boundary margin, before and after the jitter.
-    """
-    c = cfg.curvature
-    pts = _mds_init(target, cfg.dimension, c)
-    on_boundary = c * np.einsum("ij,ij->i", pts, pts) >= 1.0
-    pts[on_boundary], pulled = ball.clip_to_ball(pts[on_boundary], c)
-    jitter = 1e-3 / np.sqrt(c) * rng.standard_normal(pts.shape)
-    pts, clipped = ball.clip_to_ball(ball.exp_map_points(pts, jitter, c), c)
-    return pts, pulled + clipped
+def _tangent_start(target: np.ndarray, d: int, c: float, seed: int) -> tuple[np.ndarray, int]:
+    """The start z (see :class:`_HyperboloidObjective`) and its count of
+    shortened rows: sqrt(c) times the MDS coordinates, each point at its MDS
+    radius from the origin, plus the seeded jitter; rows past
+    ``_START_RADIUS`` are shortened to it."""
+    z = np.sqrt(c) * _mds_init(target, d)
+    z += _START_JITTER * np.random.default_rng(seed).standard_normal(z.shape)
+    radius = np.linalg.norm(z, axis=1)
+    far = radius > _START_RADIUS
+    z[far] *= (_START_RADIUS / radius[far])[:, None]
+    return z, int(np.count_nonzero(far))
 
 
 def _radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,15 +398,7 @@ class _HyperboloidObjective:
         resid = np.sqrt(w, out=self.resid)
         np.arcsinh(resid, out=resid)
         resid -= self.half_target
-        with np.errstate(over="ignore"):
-            value = _power_sum(resid, p, self.work.t)
-        if not np.isfinite(value):
-            # The first non-finite term, or the largest if only the sum overflowed.
-            terms = np.where(np.isfinite(self.work.t), self.work.t, np.inf)
-            i, j = divmod(int(np.argmax(terms)), len(terms))
-            raise EncodingError(
-                f"non-finite loss at pair ({self.labels[i]!r}, {self.labels[j]!r}); "
-                "reduce the scaling factor")
+        value = _power_sum(resid, p, self.labels, self.work.t)
 
         t = _pair_weights(resid, w, p, self.work)
         prod = t @ self.ab
@@ -417,20 +415,18 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
 
     The input is rescaled by the (possibly automatic) scaling factor for
     optimization; reported losses are always in original units, i.e. embedded
-    distances divided by the scaling factor versus the raw input.  The start
-    is mapped to tangent vectors at the origin, and one
+    distances divided by the scaling factor versus the raw input.  From the
+    tangent vectors of :func:`_tangent_start`, one
     ``scipy.optimize.minimize(method="L-BFGS-B")`` call minimizes the l_p
-    loss over them (:class:`_HyperboloidObjective`), for at most
-    ``cfg.total_epochs`` iterations and with both tolerances at zero, so it
-    stops early only when an iteration cannot lower the loss.  The result's
-    ball points are then pulled ``ball.DEFAULT_MARGIN`` inside the boundary,
-    and the points moved are counted; the final loss is measured on those
-    points with :func:`ball.pairwise_distance_matrix`.  Fully deterministic
-    for a given seed.
+    loss (:class:`_HyperboloidObjective`), for at most ``cfg.total_epochs``
+    iterations and with both tolerances at zero, so it stops early only when
+    an iteration cannot lower the loss.  Only then are ball points formed,
+    pulled ``ball.DEFAULT_MARGIN`` inside the boundary and the points moved
+    counted; the final loss is measured on those points with
+    :func:`ball.pairwise_distance_matrix`.  Fully deterministic for a given seed.
     """
     import scipy.optimize
     n, c, p = dm.n, cfg.curvature, cfg.p
-    rng = np.random.default_rng(cfg.seed)
 
     max_d = float(dm.values.max()) if n > 1 else 0.0
     if cfg.scaling_factor is not None:
@@ -444,7 +440,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
             f"scaling factor {s!r} maps the largest entry to {max_d * s:.3g}, past the "
             f"{_MAX_TARGET:.3g} the mds start can square; reduce the scaling factor")
     target = dm.values * s
-    start, rescales = _init_points(cfg, target, rng)
+    start, rescales = _tangent_start(target, cfg.dimension, c, cfg.seed)
 
     accepted: list[float] = []
 
@@ -454,8 +450,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     unit = 2.0 / np.sqrt(c)
     opt = scipy.optimize.minimize(
         _HyperboloidObjective(target / unit, dm.labels, p, cfg.dimension),
-        _ball_to_tangent(start, c).reshape(-1), jac=True, method="L-BFGS-B",
-        callback=record,
+        start.reshape(-1), jac=True, method="L-BFGS-B", callback=record,
         options={"maxcor": _LBFGS_MEMORY, "gtol": 0.0, "ftol": 0.0,
                  "maxiter": cfg.total_epochs},
     )
@@ -464,11 +459,11 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     # Every accepted value was finite, and the clip only shortens distances.
     resid = ball.pairwise_distance_matrix(points, c)
     resid -= target
-    final = _power_sum(resid, p) ** (1.0 / p) / s
+    final = _power_sum(resid, p, dm.labels) ** (1.0 / p) / s
     trace = np.empty(max(len(accepted), 1))
     trace[:-1] = unit * np.array(accepted[:-1]) ** (1.0 / p) / s
     trace[-1] = final
-    emb = PoincareEmbedding(list(dm.labels), points, c)
+    emb = PoincareEmbedding(dm.labels, points, c)
     return EmbeddingResult(emb, final, trace, cfg, s, rescales + clipped, clipped,
                            opt.nit, opt.message.rstrip(": "))
 

@@ -48,10 +48,10 @@ def random_embedding(rng, n, d, c, rmax=0.6):
 
 
 # ---------------------------------------------------------------------------
-# Reference encoder: the hyperboloid objective as a plain function, one fresh
-# array per operation, driven by the same L-BFGS call from the encoder's own
-# start.  The encoder, which reuses its buffers, must reproduce its points,
-# loss trace and iteration count bit for bit.
+# Reference encoder: the mds start and the hyperboloid objective as plain
+# functions, one fresh array per operation, driven by the same L-BFGS call.
+# The encoder, which reuses its buffers, must reproduce its points, loss
+# trace and iteration count bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -138,11 +138,7 @@ def reference_train(dm, cfg):
     else:
         s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
     target = dm.values * s
-    start, start_moved = embedding_module._init_points(
-        cfg, target, np.random.default_rng(cfg.seed))
-    radius = np.sqrt(c) * np.linalg.norm(start, axis=1)
-    scale = np.where(radius > 0.0, 2.0 * np.arctanh(radius) / np.where(radius > 0.0, radius, 1.0),
-                     2.0)
+    start, start_moved = reference_start(target, d, c, cfg.seed)
     unit = 2.0 / np.sqrt(c)
     tau = target / unit
     accepted = []
@@ -152,7 +148,7 @@ def reference_train(dm, cfg):
 
     opt = scipy.optimize.minimize(
         lambda x: reference_objective(x.reshape(n, d), tau, p),
-        (np.sqrt(c) * start * scale[:, None]).reshape(-1), jac=True, method="L-BFGS-B",
+        start.reshape(-1), jac=True, method="L-BFGS-B",
         callback=record,
         options={"maxcor": 20, "gtol": 0.0, "ftol": 0.0, "maxiter": cfg.total_epochs})
     z = opt.x.reshape(n, d)
@@ -165,8 +161,9 @@ def reference_train(dm, cfg):
     return points, trace, opt.nit, start_moved + moved, moved
 
 
-def reference_mds_init(values, d, c):
-    """The mds start with ``np.linalg.eigh`` in place of scipy's dsyevd driver."""
+def reference_mds_init(values, d):
+    """Classical MDS coordinates with ``np.linalg.eigh`` in place of scipy's
+    dsyevd driver."""
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * centering @ (values**2) @ centering
@@ -175,9 +172,20 @@ def reference_mds_init(values, d, c):
     coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
     if top.size < d:
         coords = np.hstack([coords, np.zeros((n, d - top.size))])
-    radii = np.linalg.norm(coords, axis=1, keepdims=True)
-    unit = coords / np.maximum(radii, 1e-300)
-    return unit * np.tanh(np.sqrt(c) * radii / 2.0) / np.sqrt(c)
+    return coords
+
+
+def reference_start(target, d, c, seed):
+    """The start's sqrt(c)-scaled tangent vectors and how many rows the cap
+    shortened: sqrt(c) times the MDS coordinates, a 2e-3 Gaussian jitter,
+    and rows past the final clip's radius shortened to it."""
+    z = np.sqrt(c) * reference_mds_init(target, d)
+    z = z + 2e-3 * np.random.default_rng(seed).standard_normal(z.shape)
+    cap = 2.0 * np.arctanh(1.0 - ball.DEFAULT_MARGIN)
+    radius = np.linalg.norm(z, axis=1)
+    far = radius > cap
+    z[far] = z[far] * (cap / radius[far])[:, None]
+    return z, int(np.count_nonzero(far))
 
 
 def assert_bitwise(res, ref):
@@ -225,7 +233,9 @@ class TestEncoderConfig:
             "dimension", "curvature", "p", "total_epochs", "scaling_factor", "seed"]
         assert EncoderConfig().total_epochs == 2000
         assert (ball.DEFAULT_MARGIN, embedding_module._LBFGS_MEMORY,
-                embedding_module._MAX_RADIUS) == (1e-5, 20, 30.0)
+                embedding_module._MAX_RADIUS, embedding_module._START_JITTER) == (
+                    1e-5, 20, 30.0, 2e-3)
+        assert embedding_module._START_RADIUS == 2.0 * np.arctanh(1.0 - 1e-5)
 
 
 class TestPoincareEmbedding:
@@ -261,6 +271,32 @@ class TestPoincareEmbedding:
         with pytest.raises(dataclasses.FrozenInstanceError):
             emb.curvature = 0.0
         assert embedding_loss(emb, DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])) > 0.0
+
+    def test_labels_frozen_as_a_tuple(self):
+        emb = PoincareEmbedding(["a", "b"], np.zeros((2, 2)), 1.0)
+        assert emb.labels == ("a", "b")
+        with pytest.raises(AttributeError):
+            emb.labels.append("c")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            emb.labels = ["a", "b", "c"]
+
+    def test_list_and_tuple_labels_give_the_same_outputs(self, tmp_path):
+        # write_embedding and denoised_metric write the labels as before,
+        # not the tuple's repr.
+        pts = random_embedding(np.random.default_rng(49), 3, 2, 100.0).points
+        texts, metrics = [], []
+        for labels in (["a", "b", "c"], ("a", "b", "c")):
+            emb = PoincareEmbedding(labels, pts, 100.0)
+            res = EmbeddingResult(emb, 0.0, np.zeros(1), EncoderConfig(), 0.5)
+            write_embedding(res, tmp_path / "emb.txt")
+            texts.append((tmp_path / "emb.txt").read_bytes())
+            metrics.append(denoised_metric(res))
+        assert texts[0] == texts[1]
+        assert [ln.split(b"\t")[0] for ln in texts[0].splitlines()[1:]] == [b"a", b"b", b"c"]
+        assert metrics[0].labels == metrics[1].labels == ["a", "b", "c"]
+        assert metrics[0].values.tobytes() == metrics[1].values.tobytes()
+        assert metrics[0].values.tobytes() == (
+            ball.pairwise_distance_matrix(pts, 100.0) / 0.5).tobytes()
 
     def test_nan_point_never_reaches_loss_or_gradient(self):
         dm = DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
@@ -310,6 +346,20 @@ class TestEmbeddingLoss:
         for fn in (embedding_loss, loss_gradient):
             with pytest.raises(ValueError, match="norm exponent p"):
                 fn(emb, dm, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_pair(self):
+        # A residual of 60 to the power 260 overflows a double; every other
+        # term is 1.  Both functions raise, naming the pair, with no numpy
+        # warning.
+        values = np.ones((5, 5)) - np.eye(5)
+        values[1, 3] = values[3, 1] = 60.0
+        dm = DistanceMatrix(list("abcde"), values)
+        emb = PoincareEmbedding(list("abcde"), np.zeros((5, 2)), 1.0)
+        for fn in (embedding_loss, loss_gradient):
+            with pytest.raises(EncodingError, match="non-finite loss at pair \\('b', 'd'\\)"):
+                fn(emb, dm, 260.0)
+        assert embedding_loss(emb, dm, 100.0) == pytest.approx(60.0, rel=1e-12)
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(52)
@@ -729,8 +779,8 @@ class TestBitwiseReference:
                 inputs.append(graph_leaf_shortest_paths(add_noise_edges(tree, 0.3, n + 1)).values)
             for values in inputs:
                 for d in (2, 4):
-                    got = embedding_module._mds_init(values, d, 1.0)
-                    assert got.tobytes() == reference_mds_init(values, d, 1.0).tobytes(), (n, d)
+                    got = embedding_module._mds_init(values, d)
+                    assert got.tobytes() == reference_mds_init(values, d).tobytes(), (n, d)
 
     def test_kernel_matches_reference_geometry(self):
         rng = np.random.default_rng(71)
@@ -768,29 +818,30 @@ class TestBoundaryCounts:
         res = train_embedding(dm, cfg)
         assert (res.boundary_rescales, res.points_at_limit) == (0, 0)
 
-    def test_start_rows_on_the_boundary_pulled_in(self):
-        # At scaling factor 3 the mds layout's tanh rounds 6 of these 16 rows
-        # onto the boundary, where the exp map would divide by zero (warnings
-        # are errors here); the other 10 lie between the margin and the
-        # boundary and must not move before the jitter.
+    def test_start_rows_past_the_cap_shortened(self):
+        # At scaling factor 3 all 16 rows of this mds start lie past the final
+        # clip's radius, 2 atanh(1 - margin) (warnings are errors here); at
+        # factor 1 some do.  Those rows are shortened to that radius in z and
+        # counted; the other rows keep their bits.
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(16, 0), 0.3, 1))
-        cfg = EncoderConfig(scaling_factor=3.0, total_epochs=30)
-        c, target = cfg.curvature, 3.0 * dm.values
-        layout = embedding_module._mds_init(target, cfg.dimension, c)
-        on = c * np.einsum("ij,ij->i", layout, layout) >= 1.0
-        radii = np.sqrt(c) * np.linalg.norm(layout[~on], axis=1)
-        assert np.count_nonzero(on) == 6 and np.all(radii > 1.0 - ball.DEFAULT_MARGIN)
-        start, moved = embedding_module._init_points(cfg, target, np.random.default_rng(0))
-        jitter = 1e-3 / np.sqrt(c) * np.random.default_rng(0).standard_normal(layout.shape)
-        # the other rows as the jitter and clip leave them, with the boundary
-        # rows moved to the origin instead (the routines work row by row)
-        base = np.where(on[:, None], 0.0, layout)
-        unmoved = ball.clip_to_ball(ball.exp_map_points(base, jitter, c), c)[0]
-        assert start[~on].tobytes() == unmoved[~on].tobytes()
-        # 6 rows pulled in before the jitter, then all 16 past the margin
-        assert moved == 6 + 16
-        res = train_embedding(dm, cfg)
-        assert res.boundary_rescales - res.points_at_limit == moved
+        cap = embedding_module._START_RADIUS
+        for factor, past in ((3.0, 16), (1.0, 10)):
+            cfg = EncoderConfig(scaling_factor=factor, total_epochs=30)
+            c, target = cfg.curvature, factor * dm.values
+            free = np.sqrt(c) * reference_mds_init(target, cfg.dimension)
+            free = free + 2e-3 * np.random.default_rng(cfg.seed).standard_normal(free.shape)
+            radius = np.linalg.norm(free, axis=1)
+            far = radius > cap
+            assert np.count_nonzero(far) == past
+            start, moved = embedding_module._tangent_start(target, cfg.dimension, c, cfg.seed)
+            assert moved == past
+            assert start[~far].tobytes() == free[~far].tobytes()
+            shortened = free[far] * (cap / radius[far])[:, None]
+            assert start[far].tobytes() == shortened.tobytes()
+            # their recomputed norms are the cap up to the norm's own rounding
+            assert np.all(np.abs(np.linalg.norm(start[far], axis=1) - cap) <= 4 * np.spacing(cap))
+            res = train_embedding(dm, cfg)
+            assert res.boundary_rescales - res.points_at_limit == moved
 
     def test_clip_reports_rows_moved(self):
         pts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, -3.0]])
