@@ -19,7 +19,7 @@ from .decoders import (
     Dendrogram,
     cophenetic_pairs,
     dendrogram_to_tree,
-    dendrogram_to_ultrametric,
+    dendrogram_to_ultrametric,  # not called here; perfbench/spans.py traces it by name
     linkage,
     neighbor_joining,
 )
@@ -29,7 +29,7 @@ from .metrics import (
     HyperbolicityReport,
     delta_exact,
     delta_sampled,
-    lp_cost,
+    lp_cost,  # not called here; perfbench/spans.py traces it by name
     lp_pair_cost,
 )
 from .report import DecoderRow, ObjectiveStudyResult, RunReport
@@ -91,10 +91,9 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
     Tree decoders are midpoint-rooted and scored on the leaf metric of the
     unrooted tree, which equals the rooted tree's in exact arithmetic;
     linkage decoders are scored on their cophenetic (ultrametric) heights.
-    Both are scored as pair vectors, with no n x n matrix built, when the
-    decoder's labels (sorted for a tree, ``decode_dm``'s for a dendrogram)
-    are in ``eval_dm``'s order.  Otherwise the fitted matrix is built and
-    reordered to ``eval_dm``'s labels.  Either way the loss is
+    Both are scored on their pair vectors (a tree's over its sorted labels,
+    a dendrogram's over ``decode_dm``'s), permuted into ``eval_dm``'s order
+    when the labels differ, with no n x n matrix built.  The loss is
     ``lp_cost(fitted.reordered(eval_dm.labels), eval_dm, p)``, bit for bit.
     """
     if method == "nj":
@@ -104,21 +103,34 @@ def decode_and_score(decode_dm: DistanceMatrix, eval_dm: DistanceMatrix, method:
         else:
             rooted, pairs = tree, np.zeros(0)
         labels = [lbl for lbl, _ in tree.sorted_leaves()]
-        loss = _score(labels, pairs, lambda: leaf_distance_matrix(tree), eval_dm, p)
-        return DecodeOutcome(loss, clamps, rooted, None)
+        return DecodeOutcome(_score(labels, pairs, eval_dm, p), clamps, rooted, None)
     dend = linkage(decode_dm, method)
-    loss = _score(dend.labels, cophenetic_pairs(dend),
-                  lambda: dendrogram_to_ultrametric(dend), eval_dm, p)
+    loss = _score(list(dend.labels), cophenetic_pairs(dend), eval_dm, p)
     return DecodeOutcome(loss, None, dendrogram_to_tree(dend), dend)
 
 
-def _score(labels, pairs: np.ndarray, fitted, eval_dm: DistanceMatrix, p: float) -> float:
+def _score(labels: list[str], pairs: np.ndarray, eval_dm: DistanceMatrix, p: float) -> float:
     """l_p loss against ``eval_dm`` of a metric given as its pair vector over
-    ``labels``; ``fitted()`` builds it as a matrix, which is needed only to
-    reorder it when ``labels`` are not in ``eval_dm``'s order."""
-    if list(labels) == eval_dm.labels:
-        return lp_pair_cost(pairs, eval_dm.pair_vector(), p)
-    return lp_cost(fitted().reordered(eval_dm.labels), eval_dm, p)
+    ``labels``."""
+    if labels != eval_dm.labels:
+        pairs = _reorder_pairs(pairs, labels, eval_dm.labels)
+    return lp_pair_cost(pairs, eval_dm.pair_vector(), p)
+
+
+def _reorder_pairs(pairs: np.ndarray, labels: list[str], order: list[str]) -> np.ndarray:
+    """The pair vector over ``labels`` of an exactly symmetric metric, read
+    in ``order``: the ``pair_vector`` of the metric's matrix reordered to
+    ``order``, with the same bits and no n x n matrix built."""
+    if sorted(labels) != sorted(order):
+        raise ValueError("label sets differ; cannot reorder")
+    pos = {lbl: k for k, lbl in enumerate(labels)}
+    idx = np.array([pos[lbl] for lbl in order], dtype=np.intp)
+    n = idx.size
+    rows, cols = np.triu_indices(n, 1)
+    lo = np.minimum(idx[rows], idx[cols])
+    hi = np.maximum(idx[rows], idx[cols])
+    # (lo, hi) with lo < hi sits after the n - 1 - r pairs of each row r < lo.
+    return pairs[lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)]
 
 
 def run_pipeline(

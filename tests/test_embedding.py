@@ -128,7 +128,7 @@ def reference_objective(z, tau, p):
 
 def reference_train(dm, cfg):
     """``(points, loss_trace, iterations, boundary_rescales, points_at_limit)``
-    of the reference encoder."""
+    of the reference encoder, with its stop rule."""
     import scipy.optimize
 
     c, p, n, d = cfg.curvature, cfg.p, dm.n, cfg.dimension
@@ -141,10 +141,16 @@ def reference_train(dm, cfg):
     start, start_moved = reference_start(target, d, c, cfg.seed)
     unit = 2.0 / np.sqrt(c)
     tau = target / unit
-    accepted = []
+    accepted, losses = [], []
 
     def record(intermediate_result):
+        # The stop rule on the rooted loss: stop at the first k >= 100 with
+        # loss[k - 100] - loss[k] <= 3e-4 * loss[k].
         accepted.append(intermediate_result.fun)
+        losses.append(unit * intermediate_result.fun ** (1.0 / p) / s)
+        k = len(losses) - 1
+        if k >= 100 and losses[k - 100] - losses[k] <= 3e-4 * losses[k]:
+            raise StopIteration
 
     opt = scipy.optimize.minimize(
         lambda x: reference_objective(x.reshape(n, d), tau, p),
@@ -233,8 +239,9 @@ class TestEncoderConfig:
             "dimension", "curvature", "p", "total_epochs", "scaling_factor", "seed"]
         assert EncoderConfig().total_epochs == 2000
         assert (ball.DEFAULT_MARGIN, embedding_module._LBFGS_MEMORY,
-                embedding_module._MAX_RADIUS, embedding_module._START_JITTER) == (
-                    1e-5, 20, 30.0, 2e-3)
+                embedding_module._MAX_RADIUS, embedding_module._START_JITTER,
+                embedding_module._STOP_WINDOW, embedding_module._STOP_TOL) == (
+                    1e-5, 20, 30.0, 2e-3, 100, 3e-4)
         assert embedding_module._START_RADIUS == 2.0 * np.arctanh(1.0 - 1e-5)
 
 
@@ -588,13 +595,27 @@ class TestTraining:
     def test_solver_outcome_recorded(self):
         rng = np.random.default_rng(66)
         dm = random_dm(rng, 12)
-        capped = train_embedding(dm, EncoderConfig(total_epochs=5))
-        assert (capped.iterations, len(capped.loss_trace)) == (5, 5)
+        # Uncapped, this fit ends by the stop rule after 271 iterations; a
+        # cap below the rule's window of 100 ends it at the cap.
+        capped = train_embedding(dm, EncoderConfig(total_epochs=99))
+        assert (capped.iterations, len(capped.loss_trace)) == (99, 99)
         assert capped.stop_reason == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         # A tree metric on four leaves is fitted long before the cap.
         early = train_embedding(leaf_distance_matrix(random_binary_tree(4, 1)), EncoderConfig())
         assert 0 < early.iterations == len(early.loss_trace) < 2000
         assert "LIMIT" not in early.stop_reason and early.stop_reason
+
+    def test_stop_rule_ends_the_fit(self):
+        # The rule holds on the returned trace at its last index and at no
+        # earlier index >= W, and the stop reason names it.
+        dm = random_dm(np.random.default_rng(1040), 40)
+        res = train_embedding(dm, EncoderConfig(seed=44))
+        trace, window = res.loss_trace, 100
+        held = [k for k in range(window, len(trace))
+                if trace[k - window] - trace[k] <= 3e-4 * trace[k]]
+        assert held == [len(trace) - 1] and res.iterations == len(trace) < 2000
+        assert res.stop_reason == (
+            "STOP: RELATIVE REDUCTION OF LOSS OVER 100 ITERATIONS <= 0.0003")
 
     def test_l1_run(self):
         # At p = 1 the objective has kinks where a residual crosses zero and
@@ -740,6 +761,14 @@ class TestBitwiseReference:
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(24, 5), 0.3, 6))
         cfg = EncoderConfig(total_epochs=60)
         assert_bitwise(train_embedding(dm, cfg), reference_train(dm, cfg))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_run_ended_by_the_stop_rule(self, p):
+        dm = random_dm(np.random.default_rng(1040), 40)
+        cfg = EncoderConfig(p=p, seed=44)
+        res = train_embedding(dm, cfg)
+        assert res.stop_reason == embedding_module._STOP_REASON
+        assert_bitwise(res, reference_train(dm, cfg))
 
     def test_saturating_run(self):
         # Targets far beyond the ball's reachable diameter drive points past

@@ -120,9 +120,9 @@ class TestDecodeAndScore:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_loss_bits_match_fitted_matrix(self, p):
-        # Scored on pair vectors, or through the reordered matrix when the
-        # labels differ, every loss equals that of the explicit fitted matrix
-        # bit for bit; n = 300 is above the size where NJ searches sorted rows.
+        # Scored on pair vectors, permuted when the labels differ, every loss
+        # equals that of the explicit fitted matrix bit for bit; n = 300 is
+        # above the size where NJ searches sorted rows.
         for dm in scoring_inputs():
             fitted = {"nj": leaf_distance_matrix(neighbor_joining(dm)[0])}
             for method in LINKAGE_METHODS:
@@ -135,16 +135,45 @@ class TestDecodeAndScore:
                     want = triu_lp_cost(aligned, ev, p)
                     assert loss == lp_cost(aligned, ev, p) == want, (dm.n, method)
 
-    def test_no_fitted_matrix_when_labels_align(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("built or scored a fitted matrix")
+    @staticmethod
+    def forbidden(*args):
+        raise AssertionError("built, reordered or scored a fitted matrix")
 
+    def test_no_fitted_matrix_when_labels_align(self, monkeypatch):
         for name in ("leaf_distance_matrix", "dendrogram_to_ultrametric", "lp_cost"):
-            monkeypatch.setattr(pipeline_mod, name, forbidden)
+            monkeypatch.setattr(pipeline_mod, name, self.forbidden)
         dm = noisy_input()
         dm = dm.reordered(sorted(dm.labels))
         for method in ALL_DECODERS:
             assert decode_and_score(dm, dm, method).loss > 0.0
+
+    def test_relabelled_scored_on_pairs(self, monkeypatch):
+        # With labels out of the decoder's order, every decoder's pair vector
+        # is permuted into the evaluation order: no fitted matrix is built or
+        # reordered, and the loss keeps the matrix route's bits.
+        dm = noisy_input(n=40, seed=3)
+        reversed_dm = dm.reordered(sorted(dm.labels)[::-1])
+        fitted = {"nj": leaf_distance_matrix(neighbor_joining(reversed_dm)[0])}
+        for method in LINKAGE_METHODS:
+            fitted[method] = dendrogram_to_ultrametric(linkage(dm, method))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for method, metric in fitted.items():
+                decode_dm = reversed_dm if method == "nj" else dm
+                want = lp_cost(metric.reordered(reversed_dm.labels), reversed_dm, p)
+                with monkeypatch.context() as patch:
+                    for name in ("leaf_distance_matrix", "dendrogram_to_ultrametric",
+                                 "lp_cost"):
+                        patch.setattr(pipeline_mod, name, self.forbidden)
+                    patch.setattr(DistanceMatrix, "reordered", self.forbidden)
+                    loss = decode_and_score(decode_dm, reversed_dm, method, p).loss
+                assert loss == want, (method, p)
+
+    def test_reorder_rejects_other_labels(self):
+        dm = noisy_input()
+        other = DistanceMatrix([f"x{k}" for k in range(dm.n)], dm.values)
+        for method in ("nj", "average"):
+            with pytest.raises(ValueError, match="label sets differ"):
+                decode_and_score(dm, other, method)
 
 
 class TestRunPipeline:
