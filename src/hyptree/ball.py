@@ -27,11 +27,6 @@ _ZERO_NORM = 1e-15
 _DIFF_BLOCK = 2**16
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; the same operations as ``np.linalg.norm(x, axis=-1)``."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
 def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
     """Pull rows with sqrt(c)*||row|| > 1 - DEFAULT_MARGIN back to that radius.
 
@@ -44,7 +39,7 @@ def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
     limit = (1.0 - DEFAULT_MARGIN) / np.sqrt(c)
     rescaled = 0
     for attempt in range(4):
-        norms = _row_norms(pts)
+        norms = np.linalg.norm(pts, axis=1)
         mask = norms > limit
         if not mask.any():
             break
@@ -137,7 +132,7 @@ def mobius_add_points(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
 def exp_map_points(base: np.ndarray, direction: np.ndarray, c: float) -> np.ndarray:
     """Row-wise exponential map of tangent steps at the given base points."""
     lam = 2.0 / (1.0 - c * np.einsum("ij,ij->i", base, base))[:, None]
-    nrm = _row_norms(direction)[:, None]
+    nrm = np.linalg.norm(direction, axis=1)[:, None]
     safe = np.maximum(nrm, _ZERO_NORM)
     sqrt_c = np.sqrt(c)
     step = np.tanh(sqrt_c * lam * nrm / 2.0) * direction / (sqrt_c * safe)

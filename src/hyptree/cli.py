@@ -30,7 +30,6 @@ from .data import (
 )
 from .decoders import write_dendrogram
 from .embedding import (
-    TARGET_SPREAD,
     EmbeddingResult,
     EncoderConfig,
     EncodingError,
@@ -105,16 +104,11 @@ def _encoder_config(args) -> EncoderConfig:
 
 def _add_encoder_args(sp) -> None:
     for f, dest in _encoder_fields():
-        kind = float if f.default is None else type(f.default)
         sp.add_argument(
             "--" + dest.replace("_", "-"),
-            type=_exponent if f.name == "p" else kind,
+            type=_exponent if f.name == "p" else type(f.default),
             default=f.default,
-            help={
-                "scaling_factor": "input rescale during optimization; "
-                                  f"default picks max * s = {TARGET_SPREAD:g}",
-                "total_epochs": "cap on the encoder's L-BFGS iterations",
-            }.get(f.name),
+            help="cap on the encoder's L-BFGS iterations" if f.name == "total_epochs" else None,
         )
 
 

@@ -22,16 +22,12 @@ from . import ball
 from .data import write_table
 from .metrics import DistanceMatrix, check_exponent
 
-#: Default spread of the rescaled input: scaling_factor is chosen so that the
-#: largest target distance equals this value.  Must stay well below the
-#: ball diameter reachable under the boundary margin ``ball.DEFAULT_MARGIN``,
-#: 2 * atanh(1 - margin) / sqrt(c)  (~2.44 for c = 100, margin = 1e-5).
+#: Spread of the rescaled input: the scaling factor maps the largest entry
+#: to this value.  Must stay well below the ball diameter reachable under
+#: the boundary margin ``ball.DEFAULT_MARGIN``, 2 * atanh(1 - margin) / sqrt(c)
+#: (~2.44 for c = 100, margin = 1e-5).  The fit sees it and the curvature
+#: only through sqrt(c) * TARGET_SPREAD, so the curvature sets the scale.
 TARGET_SPREAD = 2.0
-
-#: The largest rescaled target the mds start takes.  It double-centres the
-#: squared targets, whose entries reach 4 times the largest square, so this
-#: keeps them a quarter of the largest double.
-_MAX_TARGET = np.sqrt(np.finfo(np.float64).max) / 4.0
 
 #: Correction pairs L-BFGS keeps.
 _LBFGS_MEMORY = 20
@@ -72,8 +68,10 @@ class EncodingError(RuntimeError):
 class EncoderConfig:
     """Settings of one denoising run.
 
-    ``scaling_factor=None`` rescales the input so its largest entry maps to
-    ``TARGET_SPREAD``.  ``total_epochs`` caps the L-BFGS iterations; a run
+    The input is always rescaled so its largest entry maps to
+    ``TARGET_SPREAD``, and the fit sees that spread only through
+    sqrt(curvature) * ``TARGET_SPREAD``: the curvature is the one scale
+    setting.  ``total_epochs`` caps the L-BFGS iterations; a run
     stops earlier once its loss has fallen by at most 3e-4 of itself over
     the last 100 iterations (see :func:`train_embedding`), or when an
     iteration can no longer lower the loss.  Every evaluation uses all pairs.
@@ -102,7 +100,6 @@ class EncoderConfig:
     curvature: float = 100.0
     p: float = 2.0
     total_epochs: int = 2000
-    scaling_factor: float | None = None
     seed: int = 0
     #: Names the one start for callers that report it; a constant, not a field.
     init_scheme: ClassVar[str] = "mds"
@@ -110,10 +107,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("embedding dimension must be at least 2")
-        for name in ("curvature", "scaling_factor"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < self.curvature < np.inf:
+            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
         check_exponent(self.p)
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be at least 1")
@@ -202,7 +197,7 @@ def _power_sum(resid: np.ndarray, p: float, labels: list[str],
     if not np.isfinite(value):
         i, j = divmod(int(np.argmax(np.where(np.isfinite(terms), terms, np.inf))), len(terms))
         raise EncodingError(f"non-finite loss at pair ({labels[i]!r}, {labels[j]!r}); "
-                            "reduce the scaling factor")
+                            "lower the curvature or p")
     return value
 
 
@@ -427,10 +422,12 @@ class _HyperboloidObjective:
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     """Optimize ball points against a dissimilarity matrix from the mds start.
 
-    The input is rescaled by the (possibly automatic) scaling factor for
-    optimization; reported losses are always in original units, i.e. embedded
-    distances divided by the scaling factor versus the raw input.  From the
-    tangent vectors of :func:`_tangent_start`, one
+    The input is rescaled by s = ``TARGET_SPREAD`` / (largest entry), or 1
+    for an all-zero matrix, for optimization; reported losses are always in
+    original units, i.e. embedded distances divided by s versus the raw
+    input.  A largest entry so small that s overflows (below about
+    1.1e-308) raises :class:`EncodingError`.  From the tangent vectors of
+    :func:`_tangent_start`, one
     ``scipy.optimize.minimize(method="L-BFGS-B")`` call minimizes the l_p
     loss (:class:`_HyperboloidObjective`), for at most ``cfg.total_epochs``
     iterations.  scipy's own tolerances are zero; the fit ends earlier at the
@@ -438,25 +435,20 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     itself over the last W iterations, loss(k - W) - loss(k) <= tol * loss(k)
     on ``loss_trace``'s indices, or when an iteration cannot lower the loss.
     Only then are ball points formed, pulled ``ball.DEFAULT_MARGIN`` inside
-    the boundary and the points moved counted; the final loss is measured on
-    those points with :func:`ball.pairwise_distance_matrix`.  Fully
-    deterministic for a given seed.
+    the boundary and the points moved counted; the final loss is
+    :func:`embedding_loss` of those points.  Fully deterministic for a
+    given seed.
     """
     import scipy.optimize
     n, c, p = dm.n, cfg.curvature, cfg.p
 
     max_d = float(dm.values.max()) if n > 1 else 0.0
-    if cfg.scaling_factor is not None:
-        s = cfg.scaling_factor
-    elif max_d > 0.0:
-        s = TARGET_SPREAD / max_d
-    else:
-        s = 1.0
-    if not max_d * s <= _MAX_TARGET:
-        raise EncodingError(
-            f"scaling factor {s!r} maps the largest entry to {max_d * s:.3g}, past the "
-            f"{_MAX_TARGET:.3g} the mds start can square; reduce the scaling factor")
-    target = dm.values * s
+    s = TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
+    if s == np.inf:
+        raise EncodingError(f"largest entry {max_d!r} is too small to rescale "
+                            f"to {TARGET_SPREAD:g}")
+    scaled = dm.scaled(s)
+    target = scaled.values
     start, rescales = _tangent_start(target, cfg.dimension, c, cfg.seed)
 
     # The objective is the p-th power of the loss up to a constant factor,
@@ -477,15 +469,13 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
                  "maxiter": cfg.total_epochs},
     )
     points, clipped = ball.clip_to_ball(_tangent_to_ball(opt.x.reshape(n, -1), c), c)
+    emb = PoincareEmbedding(dm.labels, points, c)
 
     # Every accepted value was finite, and the clip only shortens distances.
-    resid = ball.pairwise_distance_matrix(points, c)
-    resid -= target
-    final = _power_sum(resid, p, dm.labels) ** (1.0 / p) / s
+    final = embedding_loss(emb, scaled, p) / s
     trace = np.empty(max(len(accepted), 1))
     trace[:-1] = unit * np.array(accepted[:-1]) ** (1.0 / p) / s
     trace[-1] = final
-    emb = PoincareEmbedding(dm.labels, points, c)
     # scipy reports status 99 when the callback ended the fit.
     reason = _STOP_REASON if opt.status == 99 else opt.message.rstrip(": ")
     return EmbeddingResult(emb, final, trace, cfg, s, rescales + clipped, clipped,

@@ -334,9 +334,7 @@ def midpoint_root(tree: WeightedTree) -> WeightedTree:
     wins.  If the midpoint falls exactly on a vertex that vertex becomes the
     root; otherwise the straddling edge is split in two.
     """
-    walk = _walk(tree, tree.vertices[0])
-    leaves, dist = _leaf_path_lengths(tree, walk=walk)
-    return _root_at_midpoint(tree, walk, leaves, dist[upper_mask(len(leaves))])
+    return midpoint_root_and_metric(tree)[0]
 
 
 def midpoint_root_and_metric(tree: WeightedTree) -> tuple[WeightedTree, np.ndarray]:

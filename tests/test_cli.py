@@ -298,7 +298,7 @@ class TestEncoderOptions:
         src = synth(tmp_path)
         for command in ("denoise", "pipeline"):
             for flag in ("--boundary-margin", "--burnin-factor", "--learning-rate",
-                         "--burnin-epochs"):
+                         "--burnin-epochs", "--scaling-factor"):
                 rc = main([
                     command, "--input", str(src / "matrix.txt"), "--output-dir",
                     str(tmp_path / command), flag, "1e-4", *FAST,
@@ -310,10 +310,12 @@ class TestEncoderOptions:
     def test_boundary_counts_on_stderr(self, tmp_path, capsys):
         src = synth(tmp_path)
         capsys.readouterr()
+        # Curvature 100 at the input's own spread, not the automatic 2.
+        curvature = 100.0 * (float(load_matrix(src / "matrix.txt").values.max()) / 2.0) ** 2
         for command in ("denoise", "pipeline"):
             rc = main([
                 command, "--input", str(src / "matrix.txt"), "--output-dir",
-                str(tmp_path / command), "--scaling-factor", "1", *FAST,
+                str(tmp_path / command), "--curvature", repr(curvature), *FAST,
             ])
             assert rc == 0
             err = capsys.readouterr().err
@@ -326,13 +328,24 @@ class TestEncoderOptions:
         assert "boundary" not in report and "rescales" not in report
 
     def test_targets_too_large_to_square_exit_2(self, tmp_path, capsys):
+        # Squaring 1e200 overflows, but the automatic factor maps it to 2 first.
         values = np.ones((3, 3)) - np.eye(3)
         values[0, 1] = values[1, 0] = 1e200
         save_matrix(DistanceMatrix(list("abc"), values), tmp_path / "huge.txt")
         rc = main(["pipeline", "--input", str(tmp_path / "huge.txt"), "--output-dir",
-                   str(tmp_path / "out"), "--scaling-factor", "1.0", *FAST])
-        assert rc == 2
-        assert "scaling factor 1.0" in capsys.readouterr().err
+                   str(tmp_path / "out"), *FAST])
+        assert rc == 0
+        assert np.isfinite(float(parse_report(capsys.readouterr().out)["encoder_loss"]))
+
+    def test_subnormal_largest_entry_exit_2(self, tmp_path, capsys):
+        save_matrix(DistanceMatrix(list("abc"), 1e-310 * (np.ones((3, 3)) - np.eye(3))),
+                    tmp_path / "tiny.txt")
+        for command in ("denoise", "pipeline"):
+            rc = main([command, "--input", str(tmp_path / "tiny.txt"), "--output-dir",
+                       str(tmp_path / command), *FAST])
+            assert rc == 2
+            assert "largest entry 1e-310 is too small to rescale" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
     def test_solver_outcome_on_stderr(self, tmp_path, capsys):
         src = synth(tmp_path)
@@ -403,7 +416,7 @@ class TestConfigFile:
     def test_removed_encoder_keys_rejected(self, tmp_path, capsys):
         src = synth(tmp_path)
         capsys.readouterr()
-        for text in ("burnin-epochs = 5\n", "learning_rate = 0.01\n"):
+        for text in ("burnin-epochs = 5\n", "learning_rate = 0.01\n", "scaling-factor = 2\n"):
             cfg = tmp_path / "old.cfg"
             cfg.write_text("epochs = 60\n" + text)
             assert main(["--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt"),

@@ -40,6 +40,13 @@ def pair_distance(x, y, c):
     return math.acosh(1.0 + 2.0 * c * diff / (conf_x * conf_y)) / math.sqrt(c)
 
 
+def spread_curvature(spread, c=100.0):
+    """The curvature at which the input, rescaled to its automatic
+    ``TARGET_SPREAD``, is fitted as curvature ``c`` fits it rescaled to
+    ``spread``: the fit sees only sqrt(curvature) times the spread."""
+    return c * (spread / embedding_module.TARGET_SPREAD) ** 2
+
+
 def random_embedding(rng, n, d, c, rmax=0.6):
     g = rng.standard_normal((n, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -133,10 +140,7 @@ def reference_train(dm, cfg):
 
     c, p, n, d = cfg.curvature, cfg.p, dm.n, cfg.dimension
     max_d = float(dm.values.max()) if dm.n > 1 else 0.0
-    if cfg.scaling_factor is not None:
-        s = cfg.scaling_factor
-    else:
-        s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
+    s = embedding_module.TARGET_SPREAD / max_d if max_d > 0.0 else 1.0
     target = dm.values * s
     start, start_moved = reference_start(target, d, c, cfg.seed)
     unit = 2.0 / np.sqrt(c)
@@ -213,8 +217,8 @@ class TestEncoderConfig:
             {"curvature": 0.0},
             {"p": 0.5},
             {"total_epochs": -5},
-            {"scaling_factor": 0.0},
-            {"scaling_factor": -1.0},
+            {"curvature": -float("inf")},
+            {"p": 0.0},
             {"total_epochs": 0},
             {"p": float("inf")},
             {"p": float("nan")},
@@ -222,8 +226,8 @@ class TestEncoderConfig:
             {"curvature": float("nan")},
             {"curvature": -1.0},
             {"dimension": 0},
-            {"scaling_factor": float("inf")},
-            {"scaling_factor": float("nan")},
+            {"p": -float("inf")},
+            {"dimension": -1},
         ],
     )
     def test_invalid(self, kw):
@@ -236,7 +240,7 @@ class TestEncoderConfig:
 
     def test_margin_and_solver_settings_are_constants(self):
         assert [f.name for f in dataclasses.fields(EncoderConfig)] == [
-            "dimension", "curvature", "p", "total_epochs", "scaling_factor", "seed"]
+            "dimension", "curvature", "p", "total_epochs", "seed"]
         assert EncoderConfig().total_epochs == 2000
         assert (ball.DEFAULT_MARGIN, embedding_module._LBFGS_MEMORY,
                 embedding_module._MAX_RADIUS, embedding_module._START_JITTER,
@@ -528,12 +532,10 @@ class TestTraining:
         dm = random_dm(rng, 6)
         res = train_embedding(dm, EncoderConfig(seed=1, total_epochs=50))
         assert res.final_loss == res.loss_trace[-1]
-        # and it matches an independent evaluation of the final embedding
-        assert res.final_loss == pytest.approx(
+        # and it is the loss of the final embedding, in input units
+        assert res.final_loss == (
             embedding_loss(res.embedding, dm.scaled(res.scaling_factor), 2.0)
-            / res.scaling_factor,
-            rel=1e-12,
-        )
+            / res.scaling_factor)
 
     def test_soft_monotonicity_tail(self):
         rng = np.random.default_rng(57)
@@ -548,32 +550,21 @@ class TestTraining:
                 good += 1
         assert good >= 9
 
-    def test_curvature_consistency(self):
-        # Training at curvature c on D matches curvature 1 on sqrt(c) * D
-        # under the x -> sqrt(c) x map, with matched seeds and scaling: both
-        # runs optimize the same sqrt(c)-scaled tangent vectors against the
-        # same objective, up to the rounding of the two targets and starts
-        # (1e-13 in the first loss).  L-BFGS amplifies that rounding once its
-        # curvature pairs fill, past 1e-6 after about 30 iterations here, so
-        # the first 10 iterations are held to 1e-9 and the whole run's final
-        # loss to 1e-3 relative.
-        rng = np.random.default_rng(59)
-        dm = random_dm(rng, 8)
-        c = 100.0
-        rt = np.sqrt(c)
-        span = float(dm.values.max())
-        for epochs in (10, 150):
-            res_c = train_embedding(dm, EncoderConfig(
-                seed=11, curvature=c, total_epochs=epochs, scaling_factor=2.0 / span))
-            res_1 = train_embedding(dm, EncoderConfig(
-                seed=11, curvature=1.0, total_epochs=epochs, scaling_factor=rt * 2.0 / span))
-            assert np.abs(res_c.loss_trace[:10] - res_1.loss_trace[:10]).max() < 1e-9
-            assert res_c.final_loss == pytest.approx(res_1.final_loss, rel=1e-3)
-        assert (res_c.iterations, res_1.iterations) == (150, 150)
-        short = [train_embedding(dm, EncoderConfig(
-            seed=11, curvature=cv, total_epochs=10, scaling_factor=sf / span))
-            for cv, sf in ((c, 2.0), (1.0, rt * 2.0))]
-        assert np.abs(rt * short[0].embedding.points - short[1].embedding.points).max() < 1e-9
+    def test_scale_equivariance(self):
+        # The automatic factor maps the largest entry to TARGET_SPREAD, and a
+        # power of two scales exactly, so a fit of 2^k D runs on the very
+        # targets of a fit of D: the same points bit for bit, every loss 2^k
+        # times as large, and the factor 2^-k times.
+        dm = random_dm(np.random.default_rng(59), 8)
+        cfg = EncoderConfig(seed=11, total_epochs=150)
+        base = train_embedding(dm, cfg)
+        for k in (-40, -1, 9):
+            res = train_embedding(dm.scaled(2.0**k), cfg)
+            assert res.embedding.points.tobytes() == base.embedding.points.tobytes()
+            assert res.loss_trace.tobytes() == (2.0**k * base.loss_trace).tobytes()
+            assert res.final_loss == 2.0**k * base.final_loss
+            assert res.scaling_factor == base.scaling_factor / 2.0**k
+            assert (res.iterations, res.stop_reason) == (base.iterations, base.stop_reason)
 
     def test_all_points_inside_ball(self):
         rng = np.random.default_rng(60)
@@ -630,24 +621,35 @@ class TestTraining:
             / res.scaling_factor, rel=1e-12)
 
     def test_targets_too_large_to_square_rejected(self):
-        # The mds start squares the targets, and 1e200 squared overflows.
+        # The mds start squares the targets, and 1e200 squared overflows; the
+        # automatic factor maps the largest entry to TARGET_SPREAD first.
         values = np.ones((3, 3)) - np.eye(3)
         values[0, 1] = values[1, 0] = 1e200
         dm = DistanceMatrix(list("abc"), values)
-        with pytest.raises(EncodingError, match="scaling factor 1.0 maps the largest entry"):
-            train_embedding(dm, EncoderConfig(scaling_factor=1.0))
-        # the automatic factor brings the same matrix into range
-        assert np.isfinite(train_embedding(dm, EncoderConfig(total_epochs=5)).final_loss)
+        res = train_embedding(dm, EncoderConfig(total_epochs=5))
+        assert np.isfinite(res.final_loss) and res.scaling_factor == 2e-200
+
+    def test_subnormal_largest_entry_rejected(self):
+        # 2 / 1e-310 overflows, so no finite factor maps the entry to 2.
+        dm = DistanceMatrix(list("abc"), 1e-310 * (np.ones((3, 3)) - np.eye(3)))
+        with pytest.raises(EncodingError, match="largest entry 1e-310 is too small to rescale"):
+            train_embedding(dm, EncoderConfig(total_epochs=5))
+        # a largest entry just above the smallest normal double still rescales
+        tiny = DistanceMatrix(list("abc"), 2.3e-308 * (np.ones((3, 3)) - np.eye(3)))
+        assert train_embedding(tiny, EncoderConfig(total_epochs=5)).scaling_factor == 2.0 / 2.3e-308
 
     def test_non_finite_loss_names_the_pair(self):
-        # The pair (b, d) asks for a distance of 60, far past the 24.4 the
-        # boundary margin allows at c = 1, and its residual to the power
-        # 260 overflows; every other term stays finite.
+        # The pair (b, d) asks for a distance of 60 on the scale of curvature
+        # 1 (curvature 900 at the automatic spread), far past the 24.4 the
+        # boundary margin allows there, and its residual to the power 260
+        # overflows; every other term stays finite.
         values = np.ones((5, 5)) - np.eye(5)
         values[1, 3] = values[3, 1] = 60.0
         dm = DistanceMatrix(list("abcde"), values)
-        cfg = EncoderConfig(curvature=1.0, p=260.0, scaling_factor=1.0)
-        with pytest.raises(EncodingError, match="non-finite loss at pair \\('b', 'd'\\)"):
+        cfg = EncoderConfig(curvature=spread_curvature(60.0, c=1.0), p=260.0)
+        assert cfg.curvature == 900.0
+        with pytest.raises(EncodingError, match="non-finite loss at pair \\('b', 'd'\\); "
+                                                "lower the curvature or p"):
             train_embedding(dm, cfg)
 
 
@@ -771,11 +773,11 @@ class TestBitwiseReference:
         assert_bitwise(res, reference_train(dm, cfg))
 
     def test_saturating_run(self):
-        # Targets far beyond the ball's reachable diameter drive points past
-        # the boundary margin, so trial points hit the radius cap and the
-        # final clip moves points.
+        # Targets far beyond the ball's reachable diameter (curvature 100 at
+        # the input's own spread) drive points past the boundary margin, so
+        # trial points hit the radius cap and the final clip moves points.
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(30, 7), 0.3, 8))
-        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=80)
+        cfg = EncoderConfig(curvature=spread_curvature(dm.values.max()), total_epochs=80)
         res = train_embedding(dm, cfg)
         assert res.points_at_limit > 0
         assert_bitwise(res, reference_train(dm, cfg))
@@ -829,7 +831,7 @@ class TestBitwiseReference:
 class TestBoundaryCounts:
     def test_saturating_run_counts(self):
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(64, 3), 0.3, 4))
-        cfg = EncoderConfig(scaling_factor=1.0, total_epochs=200)
+        cfg = EncoderConfig(curvature=spread_curvature(dm.values.max()), total_epochs=200)
         res = train_embedding(dm, cfg)
         assert res.boundary_rescales > 0
         assert 0 < res.points_at_limit <= dm.n
@@ -842,21 +844,23 @@ class TestBoundaryCounts:
     def test_unsaturated_run_counts_zero(self):
         # A tree metric at half the default spread stays clear of the margin.
         dm = leaf_distance_matrix(random_binary_tree(16, 2))
-        cfg = EncoderConfig(scaling_factor=1.0 / float(dm.values.max()),
-                            total_epochs=100)
+        cfg = EncoderConfig(curvature=spread_curvature(1.0), total_epochs=100)
         res = train_embedding(dm, cfg)
         assert (res.boundary_rescales, res.points_at_limit) == (0, 0)
 
     def test_start_rows_past_the_cap_shortened(self):
-        # At scaling factor 3 all 16 rows of this mds start lie past the final
-        # clip's radius, 2 atanh(1 - margin) (warnings are errors here); at
-        # factor 1 some do.  Those rows are shortened to that radius in z and
-        # counted; the other rows keep their bits.
+        # At the curvature of spread 3 max (c = 100 on 3 D) all 16 rows of
+        # this mds start lie past the final clip's radius, 2 atanh(1 - margin)
+        # (warnings are errors here); at spread max some do.  Those rows are
+        # shortened to that radius in z and counted; the other rows keep
+        # their bits.
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(16, 0), 0.3, 1))
         cap = embedding_module._START_RADIUS
+        s = embedding_module.TARGET_SPREAD / dm.values.max()
         for factor, past in ((3.0, 16), (1.0, 10)):
-            cfg = EncoderConfig(scaling_factor=factor, total_epochs=30)
-            c, target = cfg.curvature, factor * dm.values
+            cfg = EncoderConfig(curvature=spread_curvature(factor * dm.values.max()),
+                                total_epochs=30)
+            c, target = cfg.curvature, s * dm.values
             free = np.sqrt(c) * reference_mds_init(target, cfg.dimension)
             free = free + 2e-3 * np.random.default_rng(cfg.seed).standard_normal(free.shape)
             radius = np.linalg.norm(free, axis=1)
