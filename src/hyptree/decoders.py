@@ -67,12 +67,6 @@ class Dendrogram:
 #: the full scan at m = 128 / 192 / 256 / 288 / 320 / 384 / 448, and 0.111 s
 #: scanning Q in full throughout.
 _SORTED_MIN_M = 192
-#: Neighbor Joining builds the sorted rows only for more leaves than this:
-#: building them costs more than the searches down to ``_SORTED_MIN_M`` save
-#: below about n = 250.  On the same VM NJ took 8.6 / 11.9 / 13.9 / 19.3 ms
-#: at n = 208 / 240 / 256 / 288 scanning Q in full, and 9.2 / 12.1 / 13.8 /
-#: 18.1 ms with the rows.
-_SORTED_MIN_N = 256
 #: Sorted entries of each row that one step of the search evaluates.
 _SEARCH_CHUNK = 16
 
@@ -117,12 +111,12 @@ class _PartnerRows:
     def search(self, r: np.ndarray) -> int:
         """Row-major position in the m x m Q of its first smallest entry.
 
-        Every entry is formed from both orientations exactly as the full scan
-        rounds it, ``((m-2) d - r_row) - r_col`` and
-        ``((m-2) d - r_col) - r_row``.  A row stops once the bound
-        ``min(((m-2) d_next - r_row) - r_max, ((m-2) d_next - r_max) - r_row)``
-        exceeds the best Q so far: rounding is monotone, so no entry left in
-        the row can reach the best, and every entry equal to it is evaluated.
+        Each entry is formed once, ``(m-2) d - (r_row + r_col)``, which has
+        the full scan's bits in either orientation; a pair listed in two rows
+        is found at the same position from both.  A row stops once the bound
+        ``(m-2) d_next - (r_row + r_max)`` exceeds the best Q so far: rounding
+        is monotone, so no entry left in the row can reach the best, and every
+        entry equal to it is evaluated.
         """
         m = r.size
         width = self.dist.shape[1]
@@ -138,27 +132,19 @@ class _PartnerRows:
         while rows.size:
             start = rows * width + off
             ids = self.part_at[start]
-            r_col = self.r.take(ids)
-            r_row = r.take(slots)[:, None]
-            # q[0] is Q(row, partner) and q[1] is Q(partner, row).
-            q = np.empty((2, rows.size, ids.shape[1]))
-            t = np.multiply(scale, self.dist_at[start], out=q[0])
-            np.subtract(t, r_col, out=q[1])
-            q[0] -= r_row
-            q[0] -= r_col
-            q[1] -= r_row
+            r_row = r.take(slots)
+            q = scale * self.dist_at[start]
+            q -= r_row[:, None] + self.r.take(ids)
             low = q.min()
             if low <= best:
                 if low < best:
                     best, pos = low, m * m
-                side, k, c = np.unravel_index(np.flatnonzero(q == best), q.shape)
+                k, c = np.nonzero(q == best)
                 row, col = slots[k], self.slot.take(ids[k, c])
-                pos = min(pos, int(np.where(side, col * m + row, row * m + col).min()))
+                pos = min(pos, int((np.minimum(row, col) * m + np.maximum(row, col)).min()))
             off += ids.shape[1]
             t = scale * self.dist.ravel().take(start + ids.shape[1])
-            r_row = r_row[:, 0]
-            bound = np.minimum((t - r_row) - rmax, (t - rmax) - r_row)
-            keep = bound <= best
+            keep = t - (r_row + rmax) <= best
             rows, slots, off = rows[keep], slots[keep], off[keep]
         return pos
 
@@ -207,16 +193,17 @@ def neighbor_joining(dm: DistanceMatrix) -> tuple[WeightedTree, int]:
     or updating the row sums incrementally, would instead change branch
     lengths in their last bits and could change which pair wins a tie.
 
-    With at most ``_SORTED_MIN_M`` active nodes, or at most
-    ``_SORTED_MIN_N`` leaves, Q is written into a second buffer and scanned
-    in full: its two triangles can differ in the last bit.  Otherwise the
-    join comes from per-node partner rows sorted by distance (the search
-    bounds of RapidNJ, Simonsen, Mailund & Pedersen 2008), taken
-    ``_SEARCH_CHUNK`` entries of every row at a time; on n = 512 tree
-    metrics, noisy or clean, a search reads about 4% of Q's entries.  It
-    evaluates them with the full scan's rounding and returns the smallest
-    row-major position among those equal to the minimum, which is the full
-    scan's argmin, so both searches give the same trees bit for bit.
+    Q is formed as ``(m - 2) d(i, j) - (r_i + r_j)``: floating-point addition
+    commutes, so Q is exactly symmetric and its first smallest entry in
+    row-major order is the lexicographically smallest tied pair.  With at
+    most ``_SORTED_MIN_M`` active nodes Q is written into a second buffer
+    and scanned in full.  Above that the join comes from per-node partner
+    rows sorted by distance (the search bounds of RapidNJ, Simonsen,
+    Mailund & Pedersen 2008), taken ``_SEARCH_CHUNK`` entries of every row
+    at a time; on n = 512 tree metrics, noisy or clean, a search reads
+    about 4% of Q's entries.  It forms each entry with the full scan's bits
+    and returns the same position, so both searches give the same trees bit
+    for bit.
 
     Returns the unrooted tree and the number of negative branch lengths
     that were clamped to zero, a Python int.
@@ -230,8 +217,8 @@ def neighbor_joining(dm: DistanceMatrix) -> tuple[WeightedTree, int]:
 
     buf = dm.values.copy()
     flat = buf.reshape(-1)
-    partners = _PartnerRows(buf) if n > _SORTED_MIN_N else None
-    qbuf = np.empty((n if partners is None else _SORTED_MIN_M) ** 2)
+    partners = _PartnerRows(buf) if n > _SORTED_MIN_M else None
+    qbuf = np.empty(min(n, _SORTED_MIN_M) ** 2)
     rbuf = np.empty(n)
     side = np.empty((n - 1) ** 2 // 4)
     active = list(range(n))
@@ -246,15 +233,10 @@ def neighbor_joining(dm: DistanceMatrix) -> tuple[WeightedTree, int]:
         else:
             q = qbuf[: m * m].reshape(m, m)
             np.multiply(m - 2, work, out=q)
-            q -= r[:, None]
-            q -= r[None, :]
+            q -= np.add.outer(r, r)
             q.flat[:: m + 1] = np.inf
-            # Row-major argmin visits (i, j) with i < j before (j, i), so ties
-            # resolve to the lexicographically smallest pair.
             pos = int(np.argmin(q))
         i, j = divmod(pos, m)
-        if i > j:
-            i, j = j, i
         li = 0.5 * work[i, j] + (r[i] - r[j]) / (2.0 * (m - 2))
         lj = 0.5 * work[i, j] + (r[j] - r[i]) / (2.0 * (m - 2))
         edges.append((active[i], next_id, li))

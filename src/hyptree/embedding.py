@@ -13,6 +13,9 @@ downstream decoders.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -291,13 +294,10 @@ def _mds_init(values: np.ndarray, d: int) -> np.ndarray:
     With fewer points than dimensions (always so for n < 3) the layout has
     n columns, and the rest are zero.
     """
-    import scipy.linalg
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * centering @ (values**2) @ centering
-    # The same LAPACK dsyevd as np.linalg.eigh, with the same bits, but numpy's
-    # build took ~50 ms on some n = 64 Gram matrices where this takes 0.5 ms.
-    eigvals, eigvecs = scipy.linalg.eigh(gram, driver="evd")
+    eigvals, eigvecs = np.linalg.eigh(gram)
     top = np.argsort(eigvals)[::-1][:d]
     coords = eigvecs[:, top] * np.sqrt(np.maximum(eigvals[top], 0.0))
     if top.size < d:
@@ -419,6 +419,70 @@ class _HyperboloidObjective:
         return value, grad.reshape(-1)
 
 
+class _PhdrInfo(ctypes.Structure):
+    """The first two fields of ``struct dl_phdr_info``."""
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+#: ``dl_iterate_phdr``'s callback type: (info, size of info, data) -> int.
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t,
+                                  ctypes.c_void_p)
+
+
+def _openblas_pools() -> list[tuple]:
+    """The ``(get, set)`` thread-count functions of every OpenBLAS loaded in
+    the process: numpy's ``scipy_openblas_*_num_threads64_``, scipy's
+    ``scipy_openblas_*_num_threads`` or a system ``openblas_*_num_threads``.
+    Libraries are listed by the C library's ``dl_iterate_phdr``; where it is
+    missing (not Linux or the BSDs) no pool is found."""
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, TypeError):
+        return []
+    iterate.argtypes, iterate.restype = [_PHDR_CALLBACK, ctypes.c_void_p], ctypes.c_int
+    paths = []
+
+    def visit(info, size, data):
+        name = info.contents.name
+        if name and b"openblas" in name:
+            paths.append(name.decode())
+        return 0
+
+    callback = _PHDR_CALLBACK(visit)
+    iterate(callback, None)
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS pool on one thread, and
+    restore their thread counts after.
+
+    A threaded BLAS splits a product's sums across its threads, so their
+    rounding, and with it every bit of a fit from n of about 256 up, would
+    depend on the host's CPU count."""
+    pools = [(set_threads, get_threads()) for get_threads, set_threads in _openblas_pools()]
+    for set_threads, _ in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in pools:
+            set_threads(count)
+
+
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     """Optimize ball points against a dissimilarity matrix from the mds start.
 
@@ -437,7 +501,8 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     Only then are ball points formed, pulled ``ball.DEFAULT_MARGIN`` inside
     the boundary and the points moved counted; the final loss is
     :func:`embedding_loss` of those points.  Fully deterministic for a
-    given seed.
+    given seed, also across hosts with different CPU counts: from the start
+    to the final loss every loaded OpenBLAS pool runs on one thread.
     """
     import scipy.optimize
     n, c, p = dm.n, cfg.curvature, cfg.p
@@ -449,7 +514,6 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
                             f"to {TARGET_SPREAD:g}")
     scaled = dm.scaled(s)
     target = scaled.values
-    start, rescales = _tangent_start(target, cfg.dimension, c, cfg.seed)
 
     # The objective is the p-th power of the loss up to a constant factor,
     # so the stop rule compares the raw values against (1 + tol) ** p.
@@ -462,17 +526,18 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
             raise StopIteration
 
     unit = 2.0 / np.sqrt(c)
-    opt = scipy.optimize.minimize(
-        _HyperboloidObjective(target / unit, dm.labels, p, cfg.dimension),
-        start.reshape(-1), jac=True, method="L-BFGS-B", callback=record,
-        options={"maxcor": _LBFGS_MEMORY, "gtol": 0.0, "ftol": 0.0,
-                 "maxiter": cfg.total_epochs},
-    )
-    points, clipped = ball.clip_to_ball(_tangent_to_ball(opt.x.reshape(n, -1), c), c)
-    emb = PoincareEmbedding(dm.labels, points, c)
-
-    # Every accepted value was finite, and the clip only shortens distances.
-    final = embedding_loss(emb, scaled, p) / s
+    with _one_blas_thread():
+        start, rescales = _tangent_start(target, cfg.dimension, c, cfg.seed)
+        opt = scipy.optimize.minimize(
+            _HyperboloidObjective(target / unit, dm.labels, p, cfg.dimension),
+            start.reshape(-1), jac=True, method="L-BFGS-B", callback=record,
+            options={"maxcor": _LBFGS_MEMORY, "gtol": 0.0, "ftol": 0.0,
+                     "maxiter": cfg.total_epochs},
+        )
+        points, clipped = ball.clip_to_ball(_tangent_to_ball(opt.x.reshape(n, -1), c), c)
+        emb = PoincareEmbedding(dm.labels, points, c)
+        # Every accepted value was finite, and the clip only shortens distances.
+        final = embedding_loss(emb, scaled, p) / s
     trace = np.empty(max(len(accepted), 1))
     trace[:-1] = unit * np.array(accepted[:-1]) ** (1.0 / p) / s
     trace[-1] = final

@@ -219,6 +219,24 @@ class TestPipelineCommand:
         for name in ("report.txt", "denoised.txt", "nj_denoised.nwk", "single_direct.dendro"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_denoise_bytes_independent_of_blas_threads(self, tmp_path, capsys):
+        # From n of about 256 a threaded BLAS rounds the fit's products by
+        # its thread count; the encoder runs every OpenBLAS pool on one
+        # thread, so a run in this process matches one limited to a single
+        # BLAS thread from start-up.
+        src = synth(tmp_path, n=256, seed="3")
+        args = ["denoise", "--input", str(src / "matrix.txt"), "--epochs", "20"]
+        assert main([*args, "--output-dir", str(tmp_path / "here")]) == 0
+        capsys.readouterr()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyptree.cli", *args, "--output-dir", str(tmp_path / "one")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("denoised.txt", "embedding.txt", "loss_trace.txt"):
+            assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
     def test_stage_composition_matches_pipeline(self, tmp_path, capsys):
         src = synth(tmp_path)
         pipe_out = tmp_path / "pipe"

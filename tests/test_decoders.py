@@ -160,7 +160,7 @@ def copying_neighbor_joining(values):
     while len(active) > 3:
         m = len(active)
         r = work.sum(axis=1)
-        q = (m - 2) * work - r[:, None] - r[None, :]
+        q = (m - 2) * work - (r[:, None] + r[None, :])
         np.fill_diagonal(q, np.inf)
         i, j = np.unravel_index(int(np.argmin(q)), q.shape)
         if i > j:
@@ -205,8 +205,8 @@ def nj_oracle_inputs(seed):
     """Non-metric reals, ties, Euclidean points, n = 2..40.
 
     Integer entries 1-3 tie exactly in Q.  Entries 0.1-0.3 tie only up to
-    rounding, so the two triangles of Q differ in the last bit there: a
-    search over one triangle picks a different pair on some of them.
+    rounding, so there the pair that wins depends on the last bit of each Q
+    entry: a search that rounds Q otherwise picks another pair on some.
     """
     rng = np.random.default_rng(seed)
     for n in range(2, 41):
@@ -300,13 +300,25 @@ class TestNeighborJoining:
         assert t1.edges[0][:2] == (0, 5)
         assert t1.edges[1][:2] == (1, 5)
 
-    def test_q_scanned_in_both_triangles(self):
-        # in thirds, Q(0, 1) and Q(2, 3) tie, but Q(3, 2) rounds one ulp
-        # lower than both; a scan of the upper triangle alone would join 0, 1
+    @pytest.mark.parametrize("sorted_rows", [False, True])
+    def test_q_symmetric_ties_join_smallest_pair(self, monkeypatch, sorted_rows):
+        # In thirds, Q(0, 1) and Q(2, 3) tie in exact arithmetic, and
+        # ((m-2) d - r_i) - r_j rounds Q(3, 2) one ulp lower than both.
+        # Formed as (m-2) d - (r_i + r_j), Q equals its transpose bit for bit
+        # and the two entries tie exactly, so the tie rule joins 0 and 1.
         k = np.array([[0, 1, 3, 3], [1, 0, 2, 3], [3, 2, 0, 1], [3, 3, 1, 0]])
-        tree, _ = neighbor_joining(DistanceMatrix(list("abcd"), k / 3.0))
-        assert tree.edges[0][:2] == (2, 4)
-        assert tree.edges[1][:2] == (3, 4)
+        d = k / 3.0
+        r = d.sum(axis=1)
+        q = 2 * d - (r[:, None] + r[None, :])
+        assert q.tobytes() == q.T.tobytes()
+        assert q[0, 1] == q[2, 3] == np.min(q[~np.eye(4, dtype=bool)])
+        if sorted_rows:
+            monkeypatch.setattr(decoders, "_SORTED_MIN_M", 3)
+        searches = spy_searches(monkeypatch)
+        tree, _ = neighbor_joining(DistanceMatrix(list("abcd"), d))
+        assert searches == ([4] if sorted_rows else [])
+        assert tree.edges[0][:2] == (0, 4)
+        assert tree.edges[1][:2] == (1, 4)
 
     def test_bitwise_matches_copying_reference(self):
         count = 0
@@ -324,11 +336,10 @@ class TestNeighborJoining:
 
     @pytest.mark.parametrize("chunk", [1, 2, 16])
     def test_sorted_row_search_matches_copying_reference(self, monkeypatch, chunk):
-        # With both thresholds at 3 every join comes from the sorted rows;
+        # With the threshold at 3 every join comes from the sorted rows;
         # one- and two-entry chunks make most searches continue past the
         # first chunk, over dead partners too.
         monkeypatch.setattr(decoders, "_SORTED_MIN_M", 3)
-        monkeypatch.setattr(decoders, "_SORTED_MIN_N", 3)
         monkeypatch.setattr(decoders, "_SEARCH_CHUNK", chunk)
         searches = spy_searches(monkeypatch)
         for dm in nj_oracle_inputs(41):
@@ -348,29 +359,22 @@ class TestNeighborJoining:
         assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
         assert searches == list(range(512, decoders._SORTED_MIN_M, -1))
 
-    def test_sorted_rows_only_above_leaf_threshold(self, monkeypatch):
-        # Up to _SORTED_MIN_N leaves every join scans Q in full; above it the
-        # joins down to _SORTED_MIN_M active nodes search the sorted rows.
-        monkeypatch.setattr(decoders, "_SORTED_MIN_M", 5)
-        monkeypatch.setattr(decoders, "_SORTED_MIN_N", 9)
+    def test_sorted_rows_searched_above_active_threshold(self, monkeypatch):
+        # One threshold: on any input with more than _SORTED_MIN_M = 192
+        # leaves, the joins down to it search the sorted rows.
         searches = spy_searches(monkeypatch)
-        full = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(12, 2), 0.3, 3))
-        for n in (9, 10, 12):
-            dm = DistanceMatrix(full.labels[:n], full.values[:n, :n])
-            searches.clear()
-            tree, clamps = neighbor_joining(dm)
-            assert (tree.edges, clamps) == copying_neighbor_joining(dm.values), n
-            assert searches == ([] if n == 9 else list(range(n, 5, -1))), n
-
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(200, 2), 0.3, 3))
+        tree, clamps = neighbor_joining(dm)
+        assert (tree.edges, clamps) == copying_neighbor_joining(dm.values)
+        assert searches == list(range(200, 192, -1))
 
     @pytest.mark.parametrize("sorted_rows", [False, True])
     def test_deletion_at_block_edges_matches_copying_reference(self, monkeypatch, sorted_rows):
         # Deleting the last slot (j = m - 1) moves no block; joining slots 0
         # and 1 moves the whole lower-right block and row and column 0 beside
-        # it.  With both thresholds at 3 every join searches the sorted rows.
+        # it.  With the threshold at 3 every join searches the sorted rows.
         if sorted_rows:
             monkeypatch.setattr(decoders, "_SORTED_MIN_M", 3)
-            monkeypatch.setattr(decoders, "_SORTED_MIN_N", 3)
         # (At m = 4, Q(0, 1) always ties with Q(2, 3), so n starts at 5.)
         for n in (5, 9, 40):
             for a, b in ((n - 2, n - 1), (0, 1), (0, n - 1)):

@@ -172,8 +172,8 @@ def reference_train(dm, cfg):
 
 
 def reference_mds_init(values, d):
-    """Classical MDS coordinates with ``np.linalg.eigh`` in place of scipy's
-    dsyevd driver."""
+    """Classical MDS coordinates from ``np.linalg.eigh``, written out apart
+    from the encoder's copy."""
     n = values.shape[0]
     centering = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * centering @ (values**2) @ centering
@@ -496,6 +496,29 @@ class TestLossGradient:
 
 
 class TestTraining:
+    def test_blas_pools_on_one_thread_then_restored(self, monkeypatch):
+        # The fit runs every loaded OpenBLAS pool on one thread and gives
+        # each its own count back, here 2, also when the fit raises.
+        pools = embedding_module._openblas_pools()
+        before = [get() for get, _ in pools]
+        seen = []
+
+        def failing_start(*args):
+            seen.append([get() for get, _ in pools])
+            raise EncodingError("stop here")
+
+        monkeypatch.setattr(embedding_module, "_tangent_start", failing_start)
+        try:
+            for _, put in pools:
+                put(2)
+            with pytest.raises(EncodingError, match="stop here"):
+                train_embedding(random_dm(np.random.default_rng(5), 6), EncoderConfig())
+            assert [get() for get, _ in pools] == [2] * len(pools)
+        finally:
+            for (_, put), count in zip(pools, before):
+                put(count)
+        assert seen == [[1] * len(pools)]
+
     def test_two_points_fit(self):
         dm = DistanceMatrix(["u", "v"], [[0, 1.7], [1.7, 0]])
         res = train_embedding(dm, EncoderConfig(seed=0))
