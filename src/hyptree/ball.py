@@ -5,9 +5,10 @@ All routines act on ``(n, d)`` coordinate blocks of the open ball
 validate nothing.  The ball is only the encoder's output format: it fits
 tangent vectors and clips once, at the end.  One distance kernel,
 :func:`pairwise_distance_matrix`, gives the ball-side loss and the denoised
-matrix.  Its explicit-difference product, :func:`squared_differences`, also
-serves the encoder's hyperboloid objective, which allocates its buffers once
-per run and gives every gradient, ``loss_gradient``'s included.
+matrix.  Its squared coordinate differences come from scipy's ``cdist``,
+which subtracts coordinates explicitly (no Gram-matrix shortcut), as do
+those of the encoder's hyperboloid objective, which gives every gradient,
+``loss_gradient``'s included.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ DEFAULT_MARGIN = 1e-5
 
 # Tangent steps shorter than this are treated as exactly zero.
 _ZERO_NORM = 1e-15
-
-
-#: Entries of the coordinate-difference block in :func:`squared_differences`.
-#: Rows are processed in blocks of this many (row, coordinate, column)
-#: entries, so a d = 4 block up to n = 128 is formed in one product and the
-#: block stays at 512 KiB at larger n.
-_DIFF_BLOCK = 2**16
 
 
 def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
@@ -49,66 +43,19 @@ def clip_to_ball(points: np.ndarray, c: float) -> tuple[np.ndarray, int]:
     return pts, rescaled
 
 
-class DifferenceBuffers:
-    """Work buffers of :func:`squared_differences` for an (n, d) block.
-
-    A new instance holds uninitialised arrays.
-    """
-
-    def __init__(self, n: int, d: int):
-        rows = max(1, min(n, _DIFF_BLOCK // max(d * n, 1)))
-        self.lhs = np.zeros((d, rows, d + 1))
-        for k in range(d):
-            self.lhs[k, :, k] = 1.0
-        self.rhs = np.empty((d + 1, n))
-        self.rhs[d] = 1.0
-        self.block = np.empty((d, rows, n))
-
-
-def squared_differences(points: np.ndarray, work: DifferenceBuffers,
-                        out: np.ndarray) -> np.ndarray:
-    """``out[i, j] = ||x_i - x_j||^2`` of an (n, d) block, exactly symmetric.
-
-    Differences are formed explicitly (no Gram-matrix shortcut).  A block of
-    rows gets all its differences from one matrix product,
-    ``[I | x_i] @ [-X^T ; 1]``: each entry is ``x_ik * 1 + 1 * (-x_jk)`` plus
-    exact zeros, which rounds exactly like ``x_ik - x_jk``.  The squared
-    differences are summed over coordinates in order.  ``work`` must have
-    been made for the block's shape.
-    """
-    n, d = points.shape
-    if work.rhs.shape != (d + 1, n):
-        raise ValueError(f"buffers for shape {work.rhs.shape[1], work.rhs.shape[0] - 1}, "
-                         f"points have shape {points.shape}")
-    rows = work.block.shape[1]
-    lhs = work.lhs.reshape(d * rows, d + 1)
-    diff = work.block.reshape(d * rows, n)
-    np.negative(points.T, out=work.rhs[:d])
-    for start in range(0, n, rows):
-        # Equal blocks: the last one overlaps its predecessor if rows does not divide n.
-        start = min(start, n - rows)
-        block = out[start:start + rows]
-        work.lhs[:, :, d] = points[start:start + rows].T
-        np.matmul(lhs, work.rhs, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.copyto(block, work.block[0])
-        for k in range(1, d):
-            block += work.block[k]
-    return out
-
-
 def pairwise_distance_matrix(points: np.ndarray, c: float) -> np.ndarray:
     """All pairwise hyperbolic distances of an (n, d) point block.
 
     Exactly symmetric with a zero diagonal.  The squared differences come
-    from :func:`squared_differences`, and distances are
+    from ``cdist(..., "sqeuclidean")``, which sums the squared coordinate
+    differences in order, and distances are
     ``(2/sqrt(c)) asinh(sqrt(q))`` with ``q = c||x_i - x_j||^2 / (conf_i conf_j)``
     and ``conf_i = 1 - c||x_i||^2``: the textbook ``acosh(1 + 2q)/sqrt(c)``
     in a form that stays accurate where ``1 + 2q`` rounds to 1.
     """
+    from scipy.spatial.distance import cdist
     pts = np.asarray(points, dtype=np.float64)
-    n, d = pts.shape
-    q = squared_differences(pts, DifferenceBuffers(n, d), np.empty((n, n)))
+    q = cdist(pts, pts, "sqeuclidean")
     conf = 1.0 - c * np.einsum("ij,ij->i", pts, pts)
     q /= np.outer(conf, conf)
     q *= c

@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .metrics import DistanceMatrix
 from .trees import TreeStructureError, WeightedTree
 
@@ -151,13 +152,16 @@ def cosine_dissimilarity(table: FeatureTable) -> DistanceMatrix:
     |entry|) that brings that entry into [0.5, 1), so norms and products
     neither overflow nor vanish however large or small a row's entries are.
     The division is exact, so wherever the unscaled formula neither
-    overflowed nor underflowed it gives the same cosines bit for bit.
+    overflowed nor underflowed it gives the same cosines bit for bit.  The
+    product runs with BLAS on one thread, so the bytes do not depend on the
+    host's CPU count.
     """
     feats = table.features
     _, exps = np.frexp(np.abs(feats).max(axis=1))
     feats = np.ldexp(feats, -exps[:, None])
     norms = np.linalg.norm(feats, axis=1)
-    sim = (feats @ feats.T) / np.outer(norms, norms)
+    with one_blas_thread():
+        sim = (feats @ feats.T) / np.outer(norms, norms)
     vals = np.clip(1.0 - sim, 0.0, 2.0)
     np.fill_diagonal(vals, 0.0)
     return DistanceMatrix(list(table.labels), (vals + vals.T) / 2.0)

@@ -13,15 +13,13 @@ downstream decoders.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import ball
+from ._blas import one_blas_thread
 from .data import write_table
 from .metrics import DistanceMatrix, check_exponent
 
@@ -217,21 +215,19 @@ class _GradientWork:
 
 def _pair_weights(resid: np.ndarray, q: np.ndarray, p: float,
                   work: _GradientWork) -> np.ndarray:
-    """``r'_ij / sqrt(q_ij (1 + q_ij))`` into ``work.t``, zero where q_ij = 0.
+    """``(r'_ij / 2) / sqrt(q_ij (1 + q_ij))`` into ``work.t``, zero where q_ij = 0.
 
     r'_ij = p |resid_ij|^(p-1) sign(resid_ij) is the derivative of the pair
-    term, exactly ``2 resid_ij`` for p = 2; ``resid`` is overwritten with it.
-    With q = sinh^2(sqrt(c) d / 2), sqrt(q (1 + q)) is (sqrt(c)/2) times the
-    derivative of d in q, so the caller scales the result to a gradient.
-    Self-pairs and coincident points get exactly zero.
+    term; ``resid`` is overwritten with r'_ij / 2, which is ``resid_ij``
+    itself for p = 2.  With q = sinh^2(sqrt(c) d / 2), sqrt(q (1 + q)) is
+    (sqrt(c)/2) times the derivative of d in q, so the caller scales the
+    result to a gradient.  Self-pairs and coincident points get exactly zero.
     """
     coef = resid
-    if p == 2.0:
-        coef *= p
-    else:
+    if p != 2.0:
         scale = np.abs(resid, out=work.t)
         scale **= p - 1.0
-        scale *= p
+        scale *= 0.5 * p
         np.sign(resid, out=coef)
         np.multiply(scale, coef, out=coef)
     root = np.add(q, 1.0, out=work.root)
@@ -325,6 +321,8 @@ def _radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     below ``_SERIES_RADIUS``, where the quotients lose digits or divide by 0.
     """
     sh, ch = np.sinh(rho), np.cosh(rho)
+    if np.all(rho >= _SERIES_RADIUS):
+        return ch, sh / rho, (rho * ch - sh) / (rho * (rho * rho))
     r2 = rho * rho
     g = 1.0 + r2 / 6.0 * (1.0 + r2 / 20.0)
     h = 1.0 / 3.0 + r2 / 30.0 * (1.0 + r2 / 28.0)
@@ -365,12 +363,13 @@ class _HyperboloidObjective:
     (2/sqrt(c)) times its p-th root.
 
     The kernel holds a_i = (sqrt(c)/2) u_i = (g(rho_i)/2) z_i, whose
-    differences are formed explicitly (:func:`ball.squared_differences`),
-    and b_i = cosh(rho_i)/2, so that w = ||a_i - a_j||^2 - (b_i - b_j)^2.
-    As b_i^2 = 1/4 + ||a_i||^2, dw/da_i = 2 (b_j/b_i a_i - a_j), and the
-    gradient in a_i is G_i = (a_i/b_i)(T b)_i - (T A)_i with T from
-    :func:`_pair_weights`.  The chain rule through a(z) maps it to
-    (g(rho_i) G_i + h(rho_i) (z_i.G_i) z_i)/2 (:func:`_radial`).
+    differences scipy's ``cdist`` forms explicitly, and b_i = cosh(rho_i)/2,
+    so that w = ||a_i - a_j||^2 - (b_i - b_j)^2.  As
+    b_i^2 = 1/4 + ||a_i||^2, dw/da_i = 2 (b_j/b_i a_i - a_j), and the
+    gradient in a_i is 2 G_i with G_i = (a_i/b_i)(T b)_i - (T A)_i, where T
+    from :func:`_pair_weights` carries r'/2.  The chain rule through a(z),
+    whose Jacobian is (g(rho_i) I + h(rho_i) z_i z_i^T)/2 (:func:`_radial`),
+    maps 2 G_i to g(rho_i) G_i + h(rho_i) (z_i.G_i) z_i.
 
     A point with rho_i past ``_MAX_RADIUS`` makes the value +inf with a zero
     gradient, which the line search treats as a failed trial.  Any other
@@ -381,7 +380,6 @@ class _HyperboloidObjective:
     def __init__(self, half_target: np.ndarray, labels: list[str], p: float, d: int):
         n = half_target.shape[0]
         self.half_target, self.labels, self.p, self.d = half_target, labels, p, d
-        self.diff = ball.DifferenceBuffers(n, d)
         self.ab = np.empty((n, d + 1))  # [A | b]: one product gives T @ A and T @ b
         self.w = np.empty((n, n))
         self.resid = np.empty((n, n))
@@ -390,6 +388,7 @@ class _HyperboloidObjective:
         self.work = _GradientWork(n)
 
     def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
+        from scipy.spatial.distance import cdist
         p, d = self.p, self.d
         z = flat.reshape(-1, d)
         rho = np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -399,7 +398,7 @@ class _HyperboloidObjective:
         a = np.multiply(0.5 * g[:, None], z, out=self.ab[:, :d])
         b = np.multiply(0.5, ch, out=self.ab[:, d])
 
-        w = ball.squared_differences(a, self.diff, self.w)
+        w = cdist(a, a, "sqeuclidean", out=self.w)
         radial = np.subtract.outer(b, b, out=self.work.root)
         radial *= radial
         w -= radial
@@ -415,72 +414,7 @@ class _HyperboloidObjective:
         radial_part = h * np.einsum("ij,ij->i", z, grad)
         grad *= g[:, None]
         grad += radial_part[:, None] * z
-        grad *= 0.5
         return value, grad.reshape(-1)
-
-
-class _PhdrInfo(ctypes.Structure):
-    """The first two fields of ``struct dl_phdr_info``."""
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
-#: ``dl_iterate_phdr``'s callback type: (info, size of info, data) -> int.
-_PHDR_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t,
-                                  ctypes.c_void_p)
-
-
-def _openblas_pools() -> list[tuple]:
-    """The ``(get, set)`` thread-count functions of every OpenBLAS loaded in
-    the process: numpy's ``scipy_openblas_*_num_threads64_``, scipy's
-    ``scipy_openblas_*_num_threads`` or a system ``openblas_*_num_threads``.
-    Libraries are listed by the C library's ``dl_iterate_phdr``; where it is
-    missing (not Linux or the BSDs) no pool is found."""
-    try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, TypeError):
-        return []
-    iterate.argtypes, iterate.restype = [_PHDR_CALLBACK, ctypes.c_void_p], ctypes.c_int
-    paths = []
-
-    def visit(info, size, data):
-        name = info.contents.name
-        if name and b"openblas" in name:
-            paths.append(name.decode())
-        return 0
-
-    callback = _PHDR_CALLBACK(visit)
-    iterate(callback, None)
-    pools = []
-    for path in paths:
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if get is not None:
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                pools.append((get, put))
-                break
-    return pools
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS pool on one thread, and
-    restore their thread counts after.
-
-    A threaded BLAS splits a product's sums across its threads, so their
-    rounding, and with it every bit of a fit from n of about 256 up, would
-    depend on the host's CPU count."""
-    pools = [(set_threads, get_threads()) for get_threads, set_threads in _openblas_pools()]
-    for set_threads, _ in pools:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in pools:
-            set_threads(count)
 
 
 def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
@@ -526,7 +460,7 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
             raise StopIteration
 
     unit = 2.0 / np.sqrt(c)
-    with _one_blas_thread():
+    with one_blas_thread():
         start, rescales = _tangent_start(target, cfg.dimension, c, cfg.seed)
         opt = scipy.optimize.minimize(
             _HyperboloidObjective(target / unit, dm.labels, p, cfg.dimension),

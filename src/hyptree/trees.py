@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .metrics import DistanceMatrix, upper_mask
 
 
@@ -275,7 +276,8 @@ def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix) -> WeightedTree:
     s_e s_f if the two are disjoint; entry e of A^T d sums d across e's cut,
     from one 2-D prefix sum.  NNLS runs on an eigh square root of A^T A: the
     same objective up to a constant, also where A^T A is singular (degree-2
-    vertices).  A solver failure propagates.
+    vertices).  Both run with BLAS on one thread, so the weights' bytes do
+    not depend on the host's CPU count.  A solver failure propagates.
     """
     import scipy.optimize
     leaves = tree.sorted_leaves()
@@ -300,11 +302,12 @@ def fit_edge_weights(tree: WeightedTree, dm: DistanceMatrix) -> WeightedTree:
     inside = (lo[:, None] >= lo) & (hi[:, None] <= hi)
     gram = np.where(inside, s[:, None] * (n - s),
                     np.where(inside.T, s * (n - s[:, None]), s[:, None] * s))
-    lam, vec = np.linalg.eigh(gram)
-    keep = lam > lam[-1] * len(lam) * np.finfo(np.float64).eps
-    root = np.sqrt(lam[keep])
-    basis = vec[:, keep].T
-    w, _ = scipy.optimize.nnls(root[:, None] * basis, (basis @ across) / root)
+    with one_blas_thread():
+        lam, vec = np.linalg.eigh(gram)
+        keep = lam > lam[-1] * len(lam) * np.finfo(np.float64).eps
+        root = np.sqrt(lam[keep])
+        basis = vec[:, keep].T
+        w, _ = scipy.optimize.nnls(root[:, None] * basis, (basis @ across) / root)
     new_edges = tuple((u, v, float(wk)) for (u, v, _), wk in zip(tree.edges, w))
     return replace(tree, edges=new_edges, leaf_labels=dict(tree.leaf_labels))
 

@@ -8,6 +8,7 @@ import pytest
 
 from hyptree import ball
 from hyptree import embedding as embedding_module
+from hyptree._blas import openblas_pools
 from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
 from hyptree.embedding import (
     EmbeddingResult,
@@ -499,7 +500,7 @@ class TestTraining:
     def test_blas_pools_on_one_thread_then_restored(self, monkeypatch):
         # The fit runs every loaded OpenBLAS pool on one thread and gives
         # each its own count back, here 2, also when the fit raises.
-        pools = embedding_module._openblas_pools()
+        pools = openblas_pools()
         before = [get() for get, _ in pools]
         seen = []
 
@@ -824,6 +825,19 @@ class TestBitwiseReference:
         assert (value, grad.tobytes()) == (want_value, want_grad.tobytes())
         assert grad.tobytes() == reference_objective(z, tau, p)[1].tobytes()
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_rows_inside_the_series_radius(self, p):
+        # Rows at rho = 1e-9 and 5e-3 take the radial factors' Taylor series,
+        # the rows past 1e-2 their quotients.
+        rng = np.random.default_rng(73)
+        z = scaled_tangents(rng, [0.8, 1e-9, 2.1, 5e-3, 0.05, 3.4, 1.3], 3)
+        tau = random_dm(rng, 7).values * 3.0
+        objective = embedding_module._HyperboloidObjective(tau, list("abcdefg"), p, 3)
+        value, grad = objective(z.reshape(-1))
+        want_value, want_grad = reference_objective(z, tau, p)
+        assert (value, grad.tobytes()) == (want_value, want_grad.tobytes())
+        assert np.all(grad.reshape(z.shape)[[1, 3]] != 0.0)
+
     def test_mds_start_matches_numpy_eigh(self):
         rng = np.random.default_rng(72)
         for n in (2, 3, 5, 26, 48, 64, 65, 128):
@@ -838,17 +852,10 @@ class TestBitwiseReference:
 
     def test_kernel_matches_reference_geometry(self):
         rng = np.random.default_rng(71)
-        # n = 300 takes several row blocks, the last one overlapping.
         for n, d in [(1, 2), (5, 2), (40, 4), (300, 4), (12, 9)]:
             pts = random_embedding(rng, n, d, 100.0, rmax=0.99).points
             got = ball.pairwise_distance_matrix(pts, 100.0)
             assert got.tobytes() == reference_distances(pts, 100.0).tobytes()
-
-    def test_kernel_rejects_mismatched_buffers(self):
-        work = ball.DifferenceBuffers(4, 2)
-        for shape in ((5, 2), (4, 3)):
-            with pytest.raises(ValueError, match="buffers for shape"):
-                ball.squared_differences(np.zeros(shape), work, np.empty((shape[0], shape[0])))
 
 
 class TestBoundaryCounts:

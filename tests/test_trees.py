@@ -1,8 +1,12 @@
 """Tree structure, metric, fitting, and rooting checks."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,13 @@ import scipy.optimize
 import scipy.sparse
 from scipy.sparse.csgraph import dijkstra
 
-from hyptree.data import add_noise_edges, graph_leaf_shortest_paths, random_binary_tree
+from hyptree.data import (
+    FeatureTable,
+    add_noise_edges,
+    cosine_dissimilarity,
+    graph_leaf_shortest_paths,
+    random_binary_tree,
+)
 from hyptree.decoders import dendrogram_to_tree, linkage, neighbor_joining
 from hyptree.metrics import DistanceMatrix, four_point_check, lp_cost
 from hyptree.newick import _format_label, parse_newick, write_newick
@@ -572,11 +582,51 @@ class TestFitEdgeWeights:
         assert lp_cost(fit_lm, dm) <= zero_cost
 
 
+def blas_products(out_dir):
+    """Write the refit weights of Neighbor Joining's tree of a noisy n = 128
+    instance and the cosine matrix of a 300 x 64 Gaussian table to files."""
+    dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(128, 3), 0.3, 4))
+    fitted = fit_edge_weights(neighbor_joining(dm)[0], dm)
+    Path(out_dir, "weights").write_bytes(np.array([w for _, _, w in fitted.edges]).tobytes())
+    table = FeatureTable([f"r{i}" for i in range(300)],
+                         np.random.default_rng(0).standard_normal((300, 64)))
+    Path(out_dir, "cosine").write_bytes(cosine_dissimilarity(table).values.tobytes())
+
+
+#: Pins the process to one CPU before numpy starts its BLAS pools, then runs
+#: :func:`blas_products`.
+ONE_CPU_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+from test_trees import blas_products
+blas_products(sys.argv[2])
+"""
+
+
 class TestFitEdgeWeightsAtScale:
     @staticmethod
     def noisy_case(n, seed):
         t = random_binary_tree(n, seed)
         return t, graph_leaf_shortest_paths(add_noise_edges(t, 0.3, seed + 1))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs at least two CPUs in the affinity set")
+    def test_bytes_independent_of_cpu_count(self, tmp_path):
+        # A threaded BLAS rounds the refit's eigh and NNLS, and the cosine
+        # product, by its thread count; both run on one BLAS thread, so this
+        # process matches a child pinned to one CPU.
+        here, one = tmp_path / "here", tmp_path / "one"
+        here.mkdir()
+        one.mkdir()
+        blas_products(here)
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(tests), str(one)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("weights", "cosine"):
+            assert (here / name).read_bytes() == (one / name).read_bytes(), name
 
     def test_objective_matches_dense_nnls(self):
         t, dm = self.noisy_case(64, 5)
