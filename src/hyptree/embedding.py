@@ -202,49 +202,6 @@ def _power_sum(resid: np.ndarray, p: float, labels: list[str],
     return value
 
 
-class _GradientWork:
-    """The n x n buffers of :func:`_pair_weights`, allocated once per run."""
-
-    def __init__(self, n: int):
-        self.root = np.empty((n, n))
-        self.t = np.empty((n, n))
-        # Views of the diagonals: self-pairs have q = 0 and T = 0.
-        self.root_diag = self.root.reshape(-1)[::n + 1]
-        self.t_diag = self.t.reshape(-1)[::n + 1]
-
-
-def _pair_weights(resid: np.ndarray, q: np.ndarray, p: float,
-                  work: _GradientWork) -> np.ndarray:
-    """``(r'_ij / 2) / sqrt(q_ij (1 + q_ij))`` into ``work.t``, zero where q_ij = 0.
-
-    r'_ij = p |resid_ij|^(p-1) sign(resid_ij) is the derivative of the pair
-    term; ``resid`` is overwritten with r'_ij / 2, which is ``resid_ij``
-    itself for p = 2.  With q = sinh^2(sqrt(c) d / 2), sqrt(q (1 + q)) is
-    (sqrt(c)/2) times the derivative of d in q, so the caller scales the
-    result to a gradient.  Self-pairs and coincident points get exactly zero.
-    """
-    coef = resid
-    if p != 2.0:
-        scale = np.abs(resid, out=work.t)
-        scale **= p - 1.0
-        scale *= 0.5 * p
-        np.sign(resid, out=coef)
-        np.multiply(scale, coef, out=coef)
-    root = np.add(q, 1.0, out=work.root)
-    root *= q
-    np.sqrt(root, out=root)
-    t = work.t
-    # A unit root on the diagonal keeps the divide finite; T_ii is zeroed after.
-    work.root_diag.fill(1.0)
-    if np.count_nonzero(root) == root.size:
-        np.divide(coef, root, out=t)
-    else:  # coincident points: T_ij = 0 where q_ij = 0
-        t.fill(0.0)
-        np.divide(coef, root, out=t, where=root > 0.0)
-    work.t_diag.fill(0.0)
-    return t
-
-
 def loss_gradient(emb: PoincareEmbedding, dm: DistanceMatrix, p: float = 2.0) -> np.ndarray:
     """Riemannian gradient of the rooted l_p loss as an (n, d) array.
 
@@ -366,10 +323,13 @@ class _HyperboloidObjective:
     differences scipy's ``cdist`` forms explicitly, and b_i = cosh(rho_i)/2,
     so that w = ||a_i - a_j||^2 - (b_i - b_j)^2.  As
     b_i^2 = 1/4 + ||a_i||^2, dw/da_i = 2 (b_j/b_i a_i - a_j), and the
-    gradient in a_i is 2 G_i with G_i = (a_i/b_i)(T b)_i - (T A)_i, where T
-    from :func:`_pair_weights` carries r'/2.  The chain rule through a(z),
-    whose Jacobian is (g(rho_i) I + h(rho_i) z_i z_i^T)/2 (:func:`_radial`),
-    maps 2 G_i to g(rho_i) G_i + h(rho_i) (z_i.G_i) z_i.
+    gradient in a_i is 2 G_i with G_i = (a_i/b_i)(T b)_i - (T A)_i.  As
+    w = sinh^2(delta), T_ij = (r'_ij/2) / sqrt(w_ij (1 + w_ij)) is the pair
+    term's derivative in w_ij, where r'_ij = p |resid_ij|^(p-1) sign(resid_ij)
+    (r'/2 = resid for p = 2); T is exactly zero on the diagonal and for
+    coincident points (w_ij = 0).  The chain rule through a(z), whose
+    Jacobian is (g(rho_i) I + h(rho_i) z_i z_i^T)/2 (:func:`_radial`), maps
+    2 G_i to g(rho_i) G_i + h(rho_i) (z_i.G_i) z_i.
 
     A point with rho_i past ``_MAX_RADIUS`` makes the value +inf with a zero
     gradient, which the line search treats as a failed trial.  Any other
@@ -383,9 +343,11 @@ class _HyperboloidObjective:
         self.ab = np.empty((n, d + 1))  # [A | b]: one product gives T @ A and T @ b
         self.w = np.empty((n, n))
         self.resid = np.empty((n, n))
-        # Its two buffers also hold the radial term and the loss terms,
-        # which are dead before _pair_weights writes them.
-        self.work = _GradientWork(n)
+        self.scratch = np.empty((n, n))  # the radial term, then sqrt(w (1 + w))
+        self.t = np.empty((n, n))  # the loss terms, then T
+        # Views of the diagonals: self-pairs have w = 0 and T = 0.
+        self.scratch_diag = self.scratch.reshape(-1)[::n + 1]
+        self.t_diag = self.t.reshape(-1)[::n + 1]
 
     def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         from scipy.spatial.distance import cdist
@@ -399,16 +361,33 @@ class _HyperboloidObjective:
         b = np.multiply(0.5, ch, out=self.ab[:, d])
 
         w = cdist(a, a, "sqeuclidean", out=self.w)
-        radial = np.subtract.outer(b, b, out=self.work.root)
+        radial = np.subtract.outer(b, b, out=self.scratch)
         radial *= radial
         w -= radial
         np.maximum(w, 0.0, out=w)
         resid = np.sqrt(w, out=self.resid)
         np.arcsinh(resid, out=resid)
         resid -= self.half_target
-        value = _power_sum(resid, p, self.labels, self.work.t)
+        value = _power_sum(resid, p, self.labels, self.t)
 
-        t = _pair_weights(resid, w, p, self.work)
+        t = self.t
+        if p != 2.0:  # resid becomes r'/2
+            np.abs(resid, out=t)
+            t **= p - 1.0
+            t *= 0.5 * p
+            np.sign(resid, out=resid)
+            np.multiply(t, resid, out=resid)
+        root = np.add(w, 1.0, out=self.scratch)
+        root *= w
+        np.sqrt(root, out=root)
+        # A unit root on the diagonal keeps the divide finite; T_ii is zeroed after.
+        self.scratch_diag.fill(1.0)
+        if np.count_nonzero(root) == root.size:
+            np.divide(resid, root, out=t)
+        else:  # coincident points: T_ij = 0 where w_ij = 0
+            t.fill(0.0)
+            np.divide(resid, root, out=t, where=root > 0.0)
+        self.t_diag.fill(0.0)
         prod = t @ self.ab
         grad = (a / b[:, None]) * prod[:, d:] - prod[:, :d]
         radial_part = h * np.einsum("ij,ij->i", z, grad)

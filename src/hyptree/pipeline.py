@@ -154,6 +154,11 @@ def run_pipeline(
     for name in decoders:
         if name not in ALL_DECODERS:
             raise ValueError(f"unknown decoder {name!r}; pick from {ALL_DECODERS}")
+    # Imported before the first timer starts, so no stage's time includes them.
+    import scipy.optimize
+    import scipy.spatial.distance
+    if set(decoders) & set(LINKAGE_METHODS):
+        import scipy.cluster.hierarchy
     wall: dict[str, float] = {}
 
     t0 = time.perf_counter()

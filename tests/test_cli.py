@@ -479,6 +479,36 @@ class TestConfigFile:
         assert rc == 0
         assert capsys.readouterr().out.startswith("dasgupta_cost = ")
 
+    def test_equals_form_and_last_config_are_read(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        ok, bad = tmp_path / "ok.cfg", tmp_path / "bad.cfg"
+        ok.write_text("epochs = 60\ndataset-name = fromcfg\n")
+        bad.write_text("epochs = 1.5\n")
+        run = ["pipeline", "--input", str(src / "matrix.txt"), "--decoders", "nj"]
+        assert main([f"--config={bad}", *run]) == 2
+        assert "--epochs" in capsys.readouterr().err
+        assert main(["--config", str(ok), f"--config={bad}", *run]) == 2
+        capsys.readouterr()
+        assert main([f"--config={ok}", *run]) == 0
+        assert parse_report(capsys.readouterr().out)["dataset"] == "fromcfg"
+        assert main(["--config", str(bad), *run, "--config", str(ok)]) == 0
+        assert parse_report(capsys.readouterr().out)["dataset"] == "fromcfg"
+
+    def test_missing_config_path_is_usage_error(self, tmp_path, capsys):
+        for argv in (["--config"], ["--config", str(tmp_path / "none.cfg")],
+                     [f"--config={tmp_path / 'none.cfg'}"], ["--config="]):
+            assert main([*argv, "delta", "--input", "x"]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_curvature_prefix_is_not_a_config_path(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        rc = main(["pipeline", "--input", str(src / "matrix.txt"), "--decoders", "nj",
+                   "--output-dir", str(tmp_path / "out"), "--c", "10", "--epochs", "5"])
+        assert rc == 0
+        header = (tmp_path / "out" / "embedding.txt").read_text().splitlines()[0]
+        assert "curvature=10.0" in header
+
     def test_flag_only_options_rejected(self, tmp_path, capsys):
         for text in ("features = true\n", "input = m.txt\n", "config = other.cfg\n"):
             cfg = tmp_path / "run.cfg"
@@ -534,6 +564,24 @@ def scipy_modules_loaded(*commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+#: Runs ``cli.main(json.loads(sys.argv[1]))`` and prints, for each clock
+#: read from hyptree's own code, which of the scipy parts of its stages were
+#: then loaded, and at the end every scipy module loaded.
+TIMER_PROBE = """
+import json, sys, time
+import hyptree.cli
+PARTS = ("scipy.optimize", "scipy.spatial.distance", "scipy.cluster.hierarchy")
+reads, clock = [], time.perf_counter
+def probe():
+    if sys._getframe(1).f_globals["__name__"].startswith("hyptree"):
+        reads.append([m for m in PARTS if m in sys.modules])
+    return clock()
+time.perf_counter = probe
+assert hyptree.cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([reads, sorted(m for m in sys.modules if m.startswith("scipy."))]))
+"""
+
+
 class TestStartUp:
     def test_import_loads_no_scipy(self):
         assert scipy_modules_loaded() == []
@@ -558,3 +606,21 @@ class TestStartUp:
         loaded = scipy_modules_loaded(
             ["decode", "--input", path, "--method", "average", "--output-dir", str(tmp_path)])
         assert "scipy.cluster.hierarchy" in loaded and "scipy.optimize" not in loaded
+
+    @pytest.mark.parametrize("command, decoders", [
+        ("denoise", None), ("pipeline", "nj"), ("pipeline", "nj,average")])
+    def test_stage_timers_exclude_scipy_imports(self, tmp_path, command, decoders):
+        path = str(tree_metric_file(tmp_path))
+        argv = [command, "--input", path, "--epochs", "5", "--output-dir", str(tmp_path / "o")]
+        if decoders:
+            argv += ["--decoders", decoders]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", TIMER_PROBE, json.dumps(argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reads, loaded = json.loads(proc.stdout.splitlines()[-1])
+        linkage = decoders is not None and "average" in decoders
+        want = ["scipy.optimize", "scipy.spatial.distance"]
+        want += ["scipy.cluster.hierarchy"] if linkage else []
+        assert reads and all(parts == want for parts in reads)
+        assert ("scipy.cluster.hierarchy" in loaded) == linkage

@@ -858,6 +858,26 @@ class TestBitwiseReference:
             assert got.tobytes() == reference_distances(pts, 100.0).tobytes()
 
 
+class TestObjectiveBufferReuse:
+    """One objective instance keeps its bits as calls switch between the
+    divide over all pairs and the one that skips coincident points."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_alternating_branches_match_reference(self, p):
+        rng = np.random.default_rng(74)
+        tau = random_dm(rng, 7).values * 3.0
+        objective = embedding_module._HyperboloidObjective(tau, list("abcdefg"), p, 3)
+        for step in range(6):
+            z = scaled_tangents(rng, rng.uniform(0.1, 3.0, 7), 3)
+            coincident = step % 2 == 0
+            if coincident:
+                z[5] = z[2]
+            value, grad = objective(z.reshape(-1))
+            assert np.count_nonzero(objective.w == 0.0) == (9 if coincident else 7)
+            want_value, want_grad = reference_objective(z, tau, p)
+            assert (value, grad.tobytes()) == (want_value, want_grad.tobytes()), step
+
+
 class TestBoundaryCounts:
     def test_saturating_run_counts(self):
         dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(64, 3), 0.3, 4))
