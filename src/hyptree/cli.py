@@ -92,11 +92,6 @@ def _add_encoder_args(sp) -> None:
                     help="cap on the encoder's L-BFGS iterations")
 
 
-def _add_delta_args(sp) -> None:
-    sp.add_argument("--delta-mode", choices=DELTA_MODES, default="auto")
-    sp.add_argument("--delta-samples", type=int, default=DELTA_DEFAULT_SAMPLES)
-
-
 def _write_outcome(outdir: Path, name: str, outcome: DecodeOutcome) -> list[Path]:
     paths = []
     nwk = outdir / f"{name}.nwk"
@@ -194,15 +189,7 @@ def _cmd_pipeline(args) -> int:
     dm = _load_input(args)
     cfg = _encoder_config(args)
     decoders = tuple(x.strip() for x in args.decoders.split(",") if x.strip())
-    report, artifacts = run_pipeline(
-        dm,
-        cfg,
-        decoders,
-        dataset=args.dataset_name,
-        delta_mode=args.delta_mode,
-        delta_samples=args.delta_samples,
-        delta_seed=args.delta_seed,
-    )
+    report, artifacts = run_pipeline(dm, cfg, decoders, dataset=args.dataset_name)
     for stage, secs in report.wall_times.items():
         print(f"timing: {stage} = {secs:.2f}s", file=sys.stderr)
     _print_encoder_outcome(artifacts["embedding"])
@@ -299,7 +286,8 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     sp = sub.add_parser("delta", help="measure four-point hyperbolicity")
     sp.add_argument("--input", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    _add_delta_args(sp)
+    sp.add_argument("--delta-mode", choices=DELTA_MODES, default="auto")
+    sp.add_argument("--delta-samples", type=int, default=DELTA_DEFAULT_SAMPLES)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("pipeline", help="denoise, decode both versions, report")
@@ -308,10 +296,8 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dataset-name", default="input")
     sp.add_argument("--decoders", default=",".join(ALL_DECODERS))
-    sp.add_argument("--delta-seed", type=int, default=0)
     sp.add_argument("--output-dir", default=None)
     _add_encoder_args(sp)
-    _add_delta_args(sp)
     sp.set_defaults(func=_cmd_pipeline)
 
     sp = sub.add_parser("compare-objectives", help="distance-fit vs clan-size objective study")

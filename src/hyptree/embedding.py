@@ -431,7 +431,10 @@ def train_embedding(dm: DistanceMatrix, cfg: EncoderConfig) -> EmbeddingResult:
     # The objective is the p-th power of the loss up to a constant factor,
     # so the stop rule compares the raw values against (1 + tol) ** p.
     accepted: list[float] = []
-    slack = (1.0 + _STOP_TOL) ** p
+    try:
+        slack = (1.0 + _STOP_TOL) ** p
+    except OverflowError:  # p above about 2.4e6
+        slack = np.inf
 
     def record(intermediate_result):
         accepted.append(intermediate_result.fun)

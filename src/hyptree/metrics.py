@@ -337,11 +337,16 @@ def lp_pair_cost(fitted: np.ndarray, target: np.ndarray, p: float = 2.0) -> floa
     """l_p distortion between two pair vectors over the same labels.
 
     Sums |fit - target|^p over the pairs in ``pair_vector`` order, so the
-    result does not depend on whether the vectors came from matrices.
+    result does not depend on whether the vectors came from matrices.  A sum
+    that is not finite, e.g. because a large p overflows it, raises ValueError.
     """
     check_exponent(p)
     if fitted.shape != target.shape:
         raise ValueError(f"pair vectors of shapes {fitted.shape} and {target.shape} differ")
     if fitted.size == 0:
         return 0.0
-    return float(np.sum(np.abs(fitted - target) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(fitted - target) ** p)
+    if not np.isfinite(total):
+        raise ValueError(f"l_p cost is not finite at p = {p}")
+    return float(total ** (1.0 / p))

@@ -66,7 +66,11 @@ def measure_delta(
     samples: int = DELTA_DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> HyperbolicityReport:
-    """Exact delta for small inputs, sampled lower bound for large ones."""
+    """Exact delta for small inputs, sampled lower bound for large ones.
+
+    A sample count below 1 is an error in every mode, exact included."""
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     if mode == "auto":
         mode = "exact" if dm.n <= DELTA_EXACT_MAX_N else "sampled"
     if mode == "exact":
@@ -133,21 +137,17 @@ def _reorder_pairs(pairs: np.ndarray, labels: list[str], order: list[str]) -> np
     return pairs[lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)]
 
 
-def run_pipeline(
-    dm: DistanceMatrix,
-    cfg: EncoderConfig,
-    decoders: tuple[str, ...] = ALL_DECODERS,
-    dataset: str = "input",
-    delta_mode: str = "auto",
-    delta_samples: int = DELTA_DEFAULT_SAMPLES,
-    delta_seed: int = 0,
-):
+def run_pipeline(dm: DistanceMatrix, cfg: EncoderConfig,
+                 decoders: tuple[str, ...] = ALL_DECODERS, dataset: str = "input"):
     """Denoise a matrix and decode both versions with every requested decoder.
 
-    Returns ``(report, artifacts)`` where ``artifacts`` maps names like
-    ``"nj_direct"`` to DecodeOutcome objects plus ``"denoised"`` to the
-    denoised DistanceMatrix and ``"embedding"`` to the EmbeddingResult.
-    A decoder failure is recorded in its row and does not stop the run.
+    Delta before and after denoising follows :func:`measure_delta`'s default:
+    exact up to ``DELTA_EXACT_MAX_N`` entities, else ``DELTA_DEFAULT_SAMPLES``
+    quadruples sampled with seed 0.  Returns ``(report, artifacts)`` where
+    ``artifacts`` maps names like ``"nj_direct"`` to DecodeOutcome objects
+    plus ``"denoised"`` to the denoised DistanceMatrix and ``"embedding"`` to
+    the EmbeddingResult.  A decoder failure is recorded in its row and does
+    not stop the run.
     """
     if not decoders:
         raise ValueError("need at least one decoder")
@@ -162,7 +162,7 @@ def run_pipeline(
     wall: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    rep_in = measure_delta(dm, delta_mode, delta_samples, delta_seed)
+    rep_in = measure_delta(dm)
     wall["delta_input"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -171,7 +171,7 @@ def run_pipeline(
 
     denoised = denoised_metric(result)
     t0 = time.perf_counter()
-    rep_out = measure_delta(denoised, delta_mode, delta_samples, delta_seed)
+    rep_out = measure_delta(denoised)
     wall["delta_denoised"] = time.perf_counter() - t0
 
     artifacts = {"denoised": denoised, "embedding": result}

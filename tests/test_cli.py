@@ -103,6 +103,27 @@ class TestDelta:
         sampled = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert sampled <= exact
 
+    def test_reproduces_pipeline_report(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        run = tmp_path / "run"
+        assert main(["pipeline", "--input", str(src / "matrix.txt"), "--decoders", "nj",
+                     "--output-dir", str(run), *FAST]) == 0
+        report = parse_report(capsys.readouterr().out)
+        for name, key in (("matrix.txt", "delta_input"), ("denoised.txt", "delta_denoised")):
+            path = src / name if name == "matrix.txt" else run / name
+            assert main(["delta", "--input", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"delta = {report[key]}"
+
+    def test_bad_sample_count_rejected_by_exact_scan(self, tmp_path, capsys):
+        path = str(tree_metric_file(tmp_path))
+        for samples in ("0", "-5"):
+            for mode in ("auto", "exact"):
+                assert main(["delta", "--input", path, "--delta-mode", mode,
+                             "--delta-samples", samples]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: sample count must be >= 1, got {samples}\n"
+
 
 class TestDecodeAndEval:
     def test_unknown_method_usage_error(self, tmp_path, capsys):
@@ -164,6 +185,23 @@ class TestDecodeAndEval:
             for p in ("inf", "nan", "0.5", "abc"):
                 assert main([*argv, "--p", p]) == 2, (argv[0], p)
                 assert "--p" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_p_is_error(self, tmp_path, capsys):
+        src = synth(tmp_path, n=16)
+        matrix, out = str(src / "matrix.txt"), str(tmp_path / "out")
+        commands = [
+            (["decode", "--input", matrix, "--method", "average", "--output-dir", out,
+              "--p", "1e308"], "error: l_p cost is not finite at p = 1e+308"),
+            (["eval", "--tree", str(src / "tree.nwk"), "--input", matrix, "--p", "1e308"],
+             "error: l_p cost is not finite at p = 1e+308"),
+            (["denoise", "--input", matrix, "--epochs", "5", "--p", "3e6", "--output-dir", out],
+             "error: non-finite loss at pair ('L000', 'L006')"),
+        ]
+        capsys.readouterr()
+        for argv, message in commands:
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err.splitlines()[-1].startswith(message), argv[0]
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_errors(self, tmp_path, capsys):
@@ -272,6 +310,16 @@ class TestPipelineCommand:
         loss = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         report = parse_report((pipe_out / "report.txt").read_text())
         assert loss == pytest.approx(float(report["nj.loss_denoised"]), rel=1e-12, abs=0.0)
+
+    def test_delta_flags_rejected(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        for flag, value in (("--delta-mode", "exact"), ("--delta-samples", "5000"),
+                            ("--delta-seed", "4")):
+            assert main(["pipeline", "--input", str(src / "matrix.txt"), flag, value,
+                         "--output-dir", str(tmp_path / "out")]) == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_feature_input(self, tmp_path, capsys):
         feats = tmp_path / "feats.txt"
@@ -442,6 +490,21 @@ class TestConfigFile:
             err = capsys.readouterr().err
             assert "unknown config key" in err and text.split(" =")[0].replace("-", "_") in err
             assert not (tmp_path / "out").exists()
+
+    def test_delta_keys_set_only_delta(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text("delta-mode = sampled\ndelta-samples = 400\nepochs = 60\n")
+        assert main(["--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt"),
+                     "--decoders", "nj"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert (report["delta_method"], report["delta_samples"]) == ("exact", "0")
+        assert main(["--config", str(cfg), "delta", "--input", str(src / "matrix.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["method = sampled", "quadruples = 400"]
+        cfg.write_text("delta-seed = 4\n")
+        assert main(["--config", str(cfg), "pipeline", "--input", str(src / "matrix.txt")]) == 2
+        assert "unknown config key(s): delta_seed" in capsys.readouterr().err
 
     def test_malformed_value_is_usage_error(self, tmp_path, capsys):
         src = synth(tmp_path)

@@ -676,6 +676,14 @@ class TestTraining:
                                                 "lower the curvature or p"):
             train_embedding(dm, cfg)
 
+    @pytest.mark.parametrize("p", [3e6, 1e308])
+    def test_huge_finite_p_is_encoding_error(self, p):
+        # The stop rule's slack (1 + tol) ** p overflows a float from p of
+        # about 2.4e6; the fit must still end in the pair whose loss overflows.
+        dm = graph_leaf_shortest_paths(add_noise_edges(random_binary_tree(16, 0), 0.3, 1))
+        with pytest.raises(EncodingError, match="non-finite loss at pair"):
+            train_embedding(dm, EncoderConfig(p=p, total_epochs=5))
+
 
 def law_of_cosines_loss(z, tau, p):
     """sum_{i<j} |asinh(sqrt(w_ij)) - tau_ij|^p in scalar arithmetic, with

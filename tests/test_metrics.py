@@ -500,6 +500,19 @@ class TestLpCost:
         with pytest.raises(ValueError, match="norm exponent p"):
             lp_pair_cost(pairs, pairs, 0.5)
 
+    def test_overflowing_sum_rejected(self):
+        # 2 ** 1000 is finite and 2 ** 1100 is not; a sum that underflows
+        # to 0 is left as it is.
+        pairs = QUARTET.pair_vector()
+        assert lp_pair_cost(pairs, pairs + 2.0, 1000.0) == float(
+            np.sum(np.full(6, 2.0) ** 1000.0) ** (1.0 / 1000.0))
+        for p in (1100.0, 1e308):
+            with pytest.raises(ValueError, match="l_p cost is not finite at p"):
+                lp_pair_cost(pairs, pairs + 2.0, p)
+            with pytest.raises(ValueError, match="l_p cost is not finite at p"):
+                lp_cost(QUARTET.scaled(2.0), QUARTET, p)
+        assert lp_pair_cost(pairs, pairs + 0.5, 1e4) == 0.0
+
 
 class TestDeltaFourPointEquivalence:
     def test_zero_delta_iff_four_point(self):

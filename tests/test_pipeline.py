@@ -1,5 +1,7 @@
 """Pipeline orchestration and objective-study checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -72,6 +74,12 @@ class TestMeasureDelta:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             measure_delta(noisy_input(), "guess")
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "sampled"])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_bad_sample_count_rejected_in_every_mode(self, mode, samples):
+        with pytest.raises(ValueError, match=f"sample count must be >= 1, got {samples}"):
+            measure_delta(noisy_input(), mode, samples)
 
 
 class TestDecodeAndScore:
@@ -213,6 +221,31 @@ class TestRunPipeline:
         assert "decoder blew up" in by_name["nj"].error
         assert by_name["single"].error is None
         assert "single_direct" in artifacts
+
+    def test_overflowing_score_recorded_in_row(self):
+        # The encoder fits the rescaled matrix, but a fit scored in units of
+        # 1e100 overflows the fourth-power sum.
+        dm = noisy_input().scaled(1e100)
+        report, _ = run_pipeline(dm, EncoderConfig(p=4.0, total_epochs=120), ("nj", "average"))
+        assert np.isfinite(report.encoder_loss)
+        for row in report.rows:
+            assert row.error == "ValueError: l_p cost is not finite at p = 4.0"
+
+    def test_delta_by_measure_delta_default(self):
+        # Exact up to DELTA_EXACT_MAX_N entities, otherwise 10**6 quadruples
+        # sampled with seed 0, before and after denoising.
+        assert list(inspect.signature(run_pipeline).parameters) == [
+            "dm", "cfg", "decoders", "dataset"]
+        for n, method in ((16, "exact"),
+                          (pipeline_mod.DELTA_EXACT_MAX_N + 1, "sampled")):
+            dm = noisy_input(n=n, seed=4)
+            report, artifacts = run_pipeline(dm, EncoderConfig(total_epochs=3), ("single",))
+            want_in, want_out = measure_delta(dm), measure_delta(artifacts["denoised"])
+            assert want_in.method == report.delta_method == method
+            assert (report.delta_input, report.delta_denoised) == (want_in.delta, want_out.delta)
+            sampled = method == "sampled"
+            assert report.delta_samples == (10**6 if sampled else 0)
+            assert report.delta_seed == (0 if sampled else None)
 
     def test_unknown_decoder_rejected(self):
         with pytest.raises(ValueError):

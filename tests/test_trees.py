@@ -1,6 +1,7 @@
 """Tree structure, metric, fitting, and rooting checks."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -93,6 +94,18 @@ class TestWeightedTree:
     def test_zero_weights_allowed(self):
         t = WeightedTree((0, 1), ((0, 1, 0.0),), {0: "a", 1: "b"})
         assert leaf_distance_matrix(t).values[0, 1] == 0.0
+
+    @pytest.mark.parametrize("vertices, edges, labels, root, message", [
+        ((0, 0, 1), ((0, 1, 1.0), (0, 1, 1.0)), {}, None, "duplicate vertex ids"),
+        ((0, 1), ((0, 2, 1.0),), {}, None, "edge (0, 2) references unknown vertex"),
+        ((0, 1), ((0, 0, 1.0),), {}, None, "self-loop at vertex 0"),
+        ((0, 1), ((0, 1, 1.0),), {0: "a", 1: "a"}, None, "duplicate leaf labels"),
+        ((0, 1), ((0, 1, 1.0),), {0: "a", 5: "b"}, None, "labeled vertex 5 does not exist"),
+        ((0, 1), ((0, 1, 1.0),), {0: "a", 1: "b"}, 7, "root 7 does not exist"),
+    ])
+    def test_rejects_malformed_structure(self, vertices, edges, labels, root, message):
+        with pytest.raises(TreeStructureError, match=re.escape(message)):
+            WeightedTree(vertices, edges, labels, root=root)
 
 
 def dijkstra_leaf_path_lengths(tree):
@@ -905,6 +918,21 @@ class TestNewick:
         back = parse_newick(text)
         assert len(back.vertices) == 2
         assert leaf_distance_matrix(back).values[0, 1] == 3.0
+
+    def test_missing_lengths_are_zero(self):
+        t = parse_newick("(a,b);")
+        assert t.root == 0
+        assert sorted(t.leaf_labels.values()) == ["a", "b"]
+        assert [w for _, _, w in t.edges] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("('a:1,b:1);", "unterminated quoted label"),
+        ("(a:x,b:1);", "bad branch length 'x'"),
+        ("(a:1,b:1)'x'y;", "trailing characters"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(TreeStructureError, match=re.escape(message)):
+            parse_newick(text)
 
     def test_parse_errors(self):
         with pytest.raises(TreeStructureError):
